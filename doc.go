@@ -99,7 +99,8 @@
 // the paper's "one configuration does not fit all scenes" point.
 //
 // With -campaign-checkpoint the artifacts persist: one versioned JSON
-// file per cell per stage (campaign.Store), named by the stage kind,
+// file per cell per stage (campaign.Store, the JSON-envelope codec over
+// the shared store described below), named by the stage kind,
 // the grid index and a content hash of the cell spec + seed + the
 // options that determine the artifact's bytes. A killed campaign
 // rerun with -campaign-resume loads completed cells instead of
@@ -120,12 +121,13 @@
 // machines over a shared filesystem) pointing at one
 // -campaign-checkpoint directory execute a single campaign's grid
 // cooperatively: a worker claims a cell by atomically creating the
-// artifact's .lease sibling (O_CREATE|O_EXCL, carrying its id and a
-// heartbeat it renews while computing), peers waiting on a claimed
-// cell poll with deterministic backoff until the artifact appears, and
-// a lease whose heartbeat exceeds -campaign-lease-ttl is reclaimed —
-// so any worker can be SIGKILLed at any instant without losing the
-// campaign. Leases are a work-distribution optimisation, never a
+// artifact's .lease sibling (a complete record hard-linked into place,
+// carrying its id and a heartbeat it renews while computing), re-checks
+// the store once it holds the lease (a peer may have just published),
+// peers waiting on a claimed cell poll with deterministic backoff
+// until the artifact appears, and a lease whose heartbeat exceeds
+// -campaign-lease-ttl is reclaimed — so any worker can be SIGKILLed at
+// any instant without losing the campaign. Leases are a work-distribution optimisation, never a
 // correctness mechanism: artifact names are content hashes, every
 // writer of a name produces identical bytes, and writes are atomic
 // (temp file + rename), so a takeover racing a slow-but-alive holder
@@ -140,6 +142,23 @@
 // claim in CI: two worker processes share a store, one is SIGKILLed
 // mid-run, and the survivor's report must be byte-identical to an
 // uninterrupted single-process run.
+//
+// # One store, three codecs
+//
+// The checkpoints, the rendered-sequence cache and the evaluation
+// store below are one content-addressed store (sharedfs.Store) with
+// three codecs: JSON envelopes in flat "<name>.json" files, "SQC1"
+// frames in flat "<key>.seq" files, and "EVR1" records sharded as
+// "<2hex>/<key>.evr". The store owns everything they share — directory
+// open and debris sweep, verified loads and atomic saves on the bounded
+// retry ladder, deterministic eviction under a size cap, the one fault
+// injector the crash-safety suites drive (sharedfs.FaultPlan) — and the
+// one compute-once ladder: load, else acquire the key's lease,
+// re-check, and compute and publish under a heartbeat released even if
+// the computation panics, else back off and reload. Only the poll
+// bound differs by caller: the caches give up on a wedged holder after
+// 600 polls and compute inline, campaign cells wait as long as the
+// holder heartbeats and honour cancellation on every turn.
 //
 // # Rendered-sequence cache
 //
@@ -160,10 +179,10 @@
 //
 // Reads degrade down a strict ladder, and no rung is ever fatal to the
 // campaign: an in-process memory hit, else a checksum-verified disk
-// hit, else render-and-publish under the same lease protocol the cell
-// store uses (one renderer per key per store; peers poll with bounded
-// backoff, a dead renderer's lease is reclaimed after its TTL, a
-// wedged one is abandoned after a bounded number of polls), else —
+// hit, else render-and-publish under the shared store's lease ladder
+// (one renderer per key per store; peers poll with bounded backoff, a
+// dead renderer's lease is reclaimed after its TTL, a wedged one is
+// abandoned after a bounded number of polls), else —
 // when the cache directory is unusable, the disk is full, or a fault
 // persists past the bounded retries — plain inline rendering, exactly
 // what an uncached run does. Every data defect (absent, truncated,
@@ -182,8 +201,8 @@
 // deduplicates renders in-process (cells sharing a scenario share one
 // immutable in-memory sequence). -campaign-seq-cache-max-mb bounds the
 // store with deterministic lexicographic eviction. Stale temp files
-// and orphaned leases are swept on open (sharedfs.SweepDebris, shared
-// with the checkpoint store). `make campaign-cache-smoke` enforces the
+// and orphaned leases are swept on open, as for every codec of the
+// shared store. `make campaign-cache-smoke` enforces the
 // end-to-end claim in CI: two processes share checkpoint + cache, one
 // is SIGKILLed and one artifact is corrupted in place mid-run, and the
 // survivor's report must still diff clean against an uncached run.
@@ -268,8 +287,8 @@
 // results are never published and never satisfy a lookup — the stride
 // in the key is the fidelity firewall.
 //
-// Lookups walk the same never-fatal ladder as the sequence cache:
-// in-process memo hit, else checksum-verified disk hit, else
+// Lookups walk the same never-fatal ladder as the sequence cache — the
+// same code, sharedfs.Store.Fetch: in-process memo hit, else checksum-verified disk hit, else
 // simulate-and-publish under a per-key lease (one simulator per
 // configuration per store; peers poll, dead holders are reclaimed
 // after the TTL), else plain inline simulation. Data defects are

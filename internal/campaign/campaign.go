@@ -53,6 +53,7 @@ import (
 	"slamgo/internal/kfusion"
 	"slamgo/internal/phones"
 	"slamgo/internal/seqcache"
+	"slamgo/internal/sharedfs"
 	"slamgo/internal/slambench"
 )
 
@@ -245,11 +246,11 @@ type Options struct {
 	// WorkerID, when non-empty, runs this process as one cooperating
 	// worker of a multi-process campaign: cells are claimed through
 	// .lease files in CheckpointDir (atomic create, heartbeat renewal,
-	// TTL expiry — see lease.go), so N workers sharing the directory
-	// split the grid dynamically and any worker can be SIGKILLed
-	// without losing the campaign. Requires CheckpointDir; implies
-	// Resume (a worker must load cells its peers completed). Every
-	// worker that runs to completion renders the identical report.
+	// TTL expiry — see internal/sharedfs), so N workers sharing the
+	// directory split the grid dynamically and any worker can be
+	// SIGKILLed without losing the campaign. Requires CheckpointDir;
+	// implies Resume (a worker must load cells its peers completed).
+	// Every worker that runs to completion renders the identical report.
 	WorkerID string
 	// LeaseTTL is the heartbeat deadline after which a dead or stalled
 	// worker's cell lease may be reclaimed by its peers (default 10s).
@@ -330,16 +331,10 @@ type Options struct {
 	// class — the hook resume tests use to prove checkpointed cells are
 	// never re-simulated. Memo hits and checkpoint loads never fire it.
 	observeSimulation func(cell int, class string)
-	// wrapStore, when non-nil, wraps the opened checkpoint store before
-	// the retry layer — the seam the fault-injection tests use to put a
-	// FaultStore under the campaign.
-	wrapStore func(*Store) ArtifactStore
-	// cacheFaults, when non-nil, arms the sequence cache's fault plan —
-	// the seam the cache crash-safety tests use.
-	cacheFaults *seqcache.FaultPlan
-	// evalFaults, when non-nil, arms the evaluation store's fault plan —
-	// the seam its crash-safety tests use.
-	evalFaults *evalstore.FaultPlan
+	// storeFaults, cacheFaults and evalFaults, when non-nil, arm a fault
+	// plan on the checkpoint store, the sequence cache and the
+	// evaluation store — the seams the crash-safety tests use.
+	storeFaults, cacheFaults, evalFaults *sharedfs.FaultPlan
 	// sleepFn and nowFn override time.Sleep / time.Now in the retry,
 	// poll and lease layers (tests only; results never depend on them).
 	sleepFn func(time.Duration)

@@ -239,10 +239,11 @@ func TestEvalCacheFaultMatrix(t *testing.T) {
 		dir, _ := warmStore(t)
 		opts := resumeOptions(1, "")
 		opts.EvalCacheDir = dir
-		// Single worker: the first two load ops are the first two
-		// evaluations; damage both records in place.
-		opts.evalFaults = &evalstore.FaultPlan{Load: map[int]evalstore.FaultKind{
-			0: evalstore.FaultCorruptRead, 1: evalstore.FaultCorruptRead,
+		// Single worker: a miss costs two load ops (the lookup, then the
+		// re-check under the lease), so ops 0 and 2 are the first two
+		// evaluations' lookups; damage both records in place.
+		opts.evalFaults = &sharedfs.FaultPlan{Load: map[int]sharedfs.FaultKind{
+			0: sharedfs.FaultCorruptRead, 2: sharedfs.FaultCorruptRead,
 		}}
 		res, err := Run(opts)
 		if err != nil {
@@ -270,9 +271,9 @@ func TestEvalCacheFaultMatrix(t *testing.T) {
 
 	t.Run("ENOSPC on every save degrades to inline-served metrics", func(t *testing.T) {
 		dir := t.TempDir()
-		plan := &evalstore.FaultPlan{Save: map[int]evalstore.FaultKind{}}
+		plan := &sharedfs.FaultPlan{Save: map[int]sharedfs.FaultKind{}}
 		for i := 0; i < 4096; i++ { // every retry attempt of every save
-			plan.Save[i] = evalstore.FaultWriteError
+			plan.Save[i] = sharedfs.FaultWriteError
 		}
 		opts := resumeOptions(1, "")
 		opts.EvalCacheDir = dir
@@ -301,9 +302,9 @@ func TestEvalCacheFaultMatrix(t *testing.T) {
 		dir := t.TempDir()
 		// Defeat the whole retry ladder of the first save (5 attempts):
 		// the published-then-truncated bytes stay torn on disk.
-		plan := &evalstore.FaultPlan{Save: map[int]evalstore.FaultKind{0: evalstore.FaultShortWrite}}
+		plan := &sharedfs.FaultPlan{Save: map[int]sharedfs.FaultKind{0: sharedfs.FaultShortWrite}}
 		for i := 1; i < sharedfs.DefaultRetryPolicy().Attempts; i++ {
-			plan.Save[i] = evalstore.FaultWriteError
+			plan.Save[i] = sharedfs.FaultWriteError
 		}
 		opts := resumeOptions(1, "")
 		opts.EvalCacheDir = dir
@@ -338,9 +339,9 @@ func TestEvalCacheFaultMatrix(t *testing.T) {
 
 	t.Run("EIO on every read degrades to inline simulation", func(t *testing.T) {
 		dir, distinct := warmStore(t)
-		plan := &evalstore.FaultPlan{Load: map[int]evalstore.FaultKind{}}
+		plan := &sharedfs.FaultPlan{Load: map[int]sharedfs.FaultKind{}}
 		for i := 0; i < 4096; i++ {
-			plan.Load[i] = evalstore.FaultReadError
+			plan.Load[i] = sharedfs.FaultReadError
 		}
 		opts := resumeOptions(1, "")
 		opts.EvalCacheDir = dir

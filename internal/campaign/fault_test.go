@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"slamgo/internal/sharedfs"
 )
 
 // noTempFiles fails the test when the store directory holds leftover
@@ -34,19 +36,16 @@ func TestFaultInjectedStoreByteIdentical(t *testing.T) {
 	_, refBytes, _ := referenceRun(t)
 
 	dir := t.TempDir()
-	var fs *FaultStore
 	opts := resumeOptions(1, dir)
 	opts.Resume = true
-	opts.wrapStore = func(s *Store) ArtifactStore {
-		fs = NewFaultStore(s, FaultPlan{
-			// Save op 1 dies before writing; its retry is op 2. Save op 3
-			// tears the published artifact in half; its retry rewrites it.
-			Save: map[int]FaultKind{1: FaultWriteError, 3: FaultShortWrite},
-			// Load op 0 throws EIO; its retry is op 1.
-			Load: map[int]FaultKind{0: FaultReadError},
-		})
-		return fs
+	fs := &sharedfs.FaultPlan{
+		// Save op 1 dies before writing; its retry is op 2. Save op 3
+		// tears the published artifact in half; its retry rewrites it.
+		Save: map[int]sharedfs.FaultKind{1: sharedfs.FaultWriteError, 3: sharedfs.FaultShortWrite},
+		// Load op 0 throws EIO; its retry is op 1.
+		Load: map[int]sharedfs.FaultKind{0: sharedfs.FaultReadError},
 	}
+	opts.storeFaults = fs
 	opts.sleepFn = func(time.Duration) {} // recorded schedule, no real waits
 	res, err := Run(opts)
 	if err != nil {
@@ -73,17 +72,14 @@ func TestCorruptArtifactRecomputed(t *testing.T) {
 	}
 	firstBytes := renderReport(t, first)
 
-	var fs *FaultStore
 	var sims simCounter
 	opts := resumeOptions(1, dir)
 	opts.Resume = true
 	opts.observeSimulation = sims.hook
-	opts.wrapStore = func(s *Store) ArtifactStore {
-		// Load op 0 is the first cell's screening artifact: rot its bytes
-		// on disk before the store reads them.
-		fs = NewFaultStore(s, FaultPlan{Load: map[int]FaultKind{0: FaultCorruptRead}})
-		return fs
-	}
+	// Load op 0 is the first cell's screening artifact: rot its bytes on
+	// disk before the store reads them.
+	fs := &sharedfs.FaultPlan{Load: map[int]sharedfs.FaultKind{0: sharedfs.FaultCorruptRead}}
+	opts.storeFaults = fs
 	again, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)

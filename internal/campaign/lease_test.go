@@ -6,12 +6,14 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"slamgo/internal/sharedfs"
 )
 
 func TestLeaseAcquireAndContention(t *testing.T) {
 	dir := t.TempDir()
-	a := NewLeaseManager(dir, "a", time.Minute, nil)
-	b := NewLeaseManager(dir, "b", time.Minute, nil)
+	a := sharedfs.NewLeaseManager(dir, "a", time.Minute, nil)
+	b := sharedfs.NewLeaseManager(dir, "b", time.Minute, nil)
 
 	la, ok, err := a.TryAcquire("cell")
 	if err != nil || !ok {
@@ -43,11 +45,11 @@ func TestLeaseTakeoverAfterExpiry(t *testing.T) {
 	// born expired under any sane TTL — the injectable-clock stand-in for
 	// a SIGKILLed process.
 	past := func() time.Time { return time.Now().Add(-time.Hour) }
-	dead := NewLeaseManager(dir, "dead", time.Second, past)
+	dead := sharedfs.NewLeaseManager(dir, "dead", time.Second, past)
 	if _, ok, err := dead.TryAcquire("cell"); err != nil || !ok {
 		t.Fatalf("dead worker could not claim (ok=%v err=%v)", ok, err)
 	}
-	live := NewLeaseManager(dir, "live", time.Second, nil)
+	live := sharedfs.NewLeaseManager(dir, "live", time.Second, nil)
 	if _, ok, err := live.TryAcquire("cell"); err != nil || !ok {
 		t.Fatalf("expired lease not taken over (ok=%v err=%v)", ok, err)
 	}
@@ -59,16 +61,16 @@ func TestLeaseTakeoverAfterExpiry(t *testing.T) {
 func TestLeaseRenewDetectsLoss(t *testing.T) {
 	dir := t.TempDir()
 	past := func() time.Time { return time.Now().Add(-time.Hour) }
-	a := NewLeaseManager(dir, "a", time.Second, past)
+	a := sharedfs.NewLeaseManager(dir, "a", time.Second, past)
 	la, ok, err := a.TryAcquire("cell")
 	if err != nil || !ok {
 		t.Fatalf("TryAcquire = %v, %v", ok, err)
 	}
-	b := NewLeaseManager(dir, "b", time.Minute, nil)
+	b := sharedfs.NewLeaseManager(dir, "b", time.Minute, nil)
 	if _, ok, err := b.TryAcquire("cell"); err != nil || !ok {
 		t.Fatalf("takeover failed (ok=%v err=%v)", ok, err)
 	}
-	if err := la.Renew(); !errors.Is(err, ErrLeaseLost) {
+	if err := la.Renew(); !errors.Is(err, sharedfs.ErrLeaseLost) {
 		t.Fatalf("Renew after takeover = %v, want ErrLeaseLost", err)
 	}
 	// The lost holder's release must not tear down the new holder's lease.
@@ -85,12 +87,15 @@ func TestCorruptLeaseExpires(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "cell.lease"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m := NewLeaseManager(dir, "w", time.Minute, nil)
+	m := sharedfs.NewLeaseManager(dir, "w", time.Minute, nil)
 	if _, ok, err := m.TryAcquire("cell"); err != nil || !ok {
 		t.Fatalf("corrupt lease wedged the cell (ok=%v err=%v)", ok, err)
 	}
 }
 
+// TestLeaseFilesInvisibleToStore pins that a cell's lease sibling never
+// shadows or impersonates its artifact: with a lease held, the artifact
+// still loads, and a lease alone is a plain miss, not an artifact.
 func TestLeaseFilesInvisibleToStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	store, err := OpenStore(dir)
@@ -100,15 +105,17 @@ func TestLeaseFilesInvisibleToStore(t *testing.T) {
 	if err := store.Save("art", &cellArtifact{Scenario: "lr_kt0"}); err != nil {
 		t.Fatal(err)
 	}
-	m := NewLeaseManager(dir, "w", time.Minute, nil)
-	if _, ok, err := m.TryAcquire("art"); err != nil || !ok {
-		t.Fatalf("TryAcquire = %v, %v", ok, err)
+	m := sharedfs.NewLeaseManager(dir, "w", time.Minute, nil)
+	for _, name := range []string{"art", "other"} {
+		if _, ok, err := m.TryAcquire(name); err != nil || !ok {
+			t.Fatalf("TryAcquire(%s) = %v, %v", name, ok, err)
+		}
 	}
-	names, err := store.List()
-	if err != nil {
-		t.Fatal(err)
+	var out cellArtifact
+	if !loadHit(t, store, "art", &out) || out.Scenario != "lr_kt0" {
+		t.Fatalf("leased artifact did not load: %+v", out)
 	}
-	if len(names) != 1 || names[0] != "art" {
-		t.Fatalf("List sees lease files: %v", names)
+	if loadHit(t, store, "other", &out) {
+		t.Fatal("a lease file loaded as an artifact")
 	}
 }

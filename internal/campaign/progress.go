@@ -104,3 +104,12 @@ func (r *runner) canceled() bool {
 		return false
 	}
 }
+
+// cancelErr reports canceled as ErrCanceled, the form the store's
+// ladder checks on every turn.
+func (r *runner) cancelErr() error {
+	if r.canceled() {
+		return ErrCanceled
+	}
+	return nil
+}

@@ -2,75 +2,68 @@ package campaign
 
 import (
 	"errors"
+	"syscall"
 	"testing"
 	"time"
+
+	"slamgo/internal/sharedfs"
 )
 
-// scriptedStore is an ArtifactStore whose per-call outcomes are
-// scripted, for exercising the retry loop without a filesystem.
-type scriptedStore struct {
-	saveErrs  []error // consumed one per Save call; nil entries succeed
-	loadErrs  []error
-	loadOK    bool
-	saveCalls int
-	loadCalls int
-}
+// The checkpoint store rides the bounded deterministic retry ladder of
+// internal/sharedfs. These tests pin it at the campaign's store surface
+// with scheduled faults: transient faults are absorbed, persistent ones
+// exhaust on a fixed backoff schedule, and misses are never retried.
 
-func take(errs []error, call int) error {
-	if call < len(errs) {
-		return errs[call]
-	}
-	return nil
-}
-
-func (s *scriptedStore) Save(string, any) error {
-	err := take(s.saveErrs, s.saveCalls)
-	s.saveCalls++
-	return err
-}
-
-func (s *scriptedStore) Load(string, any) (bool, error) {
-	err := take(s.loadErrs, s.loadCalls)
-	s.loadCalls++
+// faultedStore opens a checkpoint store armed with plan whose retry
+// backoff is recorded instead of slept.
+func faultedStore(t *testing.T, plan *sharedfs.FaultPlan, slept *[]time.Duration) *Store {
+	t.Helper()
+	store, err := openStore(sharedfs.Config{
+		Dir:   t.TempDir(),
+		Sleep: func(d time.Duration) { *slept = append(*slept, d) },
+	})
 	if err != nil {
-		return false, err
+		t.Fatal(err)
 	}
-	return s.loadOK, nil
-}
-
-func (s *scriptedStore) List() ([]string, error) { return nil, nil }
-
-// sleepRecorder captures the backoff schedule instead of sleeping.
-func sleepRecorder(slept *[]time.Duration) func(time.Duration) {
-	return func(d time.Duration) { *slept = append(*slept, d) }
+	store.fs.InjectFaults(plan)
+	return store
 }
 
 func TestRetryStoreRecoversTransientFault(t *testing.T) {
-	boom := errors.New("enospc")
-	inner := &scriptedStore{saveErrs: []error{boom}}
 	var slept []time.Duration
-	rs := NewRetryStore(inner, DefaultRetryPolicy(), sleepRecorder(&slept))
-	if err := rs.Save("x", nil); err != nil {
+	plan := &sharedfs.FaultPlan{Save: map[int]sharedfs.FaultKind{0: sharedfs.FaultWriteError}}
+	store := faultedStore(t, plan, &slept)
+	if err := store.Save("x", 7); err != nil {
 		t.Fatalf("Save after transient fault: %v", err)
 	}
-	if inner.saveCalls != 2 {
-		t.Fatalf("saveCalls = %d, want 2", inner.saveCalls)
+	if plan.Injected() != 1 {
+		t.Fatalf("injected %d faults, want 1", plan.Injected())
 	}
 	if len(slept) != 1 || slept[0] != 10*time.Millisecond {
 		t.Fatalf("backoff = %v, want [10ms]", slept)
 	}
+	var got int
+	if !loadHit(t, store, "x", &got) || got != 7 {
+		t.Fatalf("retried save not loadable (got %d)", got)
+	}
 }
 
 func TestRetryStoreExhaustsDeterministically(t *testing.T) {
-	boom := errors.New("eio")
-	inner := &scriptedStore{loadErrs: []error{boom, boom, boom, boom, boom, boom}}
 	var slept []time.Duration
-	rs := NewRetryStore(inner, DefaultRetryPolicy(), sleepRecorder(&slept))
-	if _, err := rs.Load("x", nil); !errors.Is(err, boom) {
-		t.Fatalf("Load = %v, want wrapped eio", err)
+	plan := &sharedfs.FaultPlan{Load: map[int]sharedfs.FaultKind{}}
+	for i := 0; i < 6; i++ {
+		plan.Load[i] = sharedfs.FaultReadError
 	}
-	if inner.loadCalls != 5 {
-		t.Fatalf("loadCalls = %d, want 5 (policy attempts)", inner.loadCalls)
+	store := faultedStore(t, plan, &slept)
+	if err := store.Save("x", 7); err != nil {
+		t.Fatal(err)
+	}
+	var got int
+	if _, err := store.Load("x", &got); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Load = %v, want wrapped EIO", err)
+	}
+	if plan.Injected() != 5 {
+		t.Fatalf("load attempts = %d, want 5 (policy attempts)", plan.Injected())
 	}
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond}
 	if len(slept) != len(want) {
@@ -84,24 +77,16 @@ func TestRetryStoreExhaustsDeterministically(t *testing.T) {
 }
 
 func TestRetryStoreNeverRetriesMiss(t *testing.T) {
-	inner := &scriptedStore{loadOK: false}
 	var slept []time.Duration
-	rs := NewRetryStore(inner, DefaultRetryPolicy(), sleepRecorder(&slept))
-	ok, err := rs.Load("absent", nil)
+	// A retried miss would be load op 1 and fire this fault.
+	plan := &sharedfs.FaultPlan{Load: map[int]sharedfs.FaultKind{1: sharedfs.FaultReadError}}
+	store := faultedStore(t, plan, &slept)
+	var got int
+	ok, err := store.Load("absent", &got)
 	if ok || err != nil {
 		t.Fatalf("Load = %v, %v; want clean miss", ok, err)
 	}
-	if inner.loadCalls != 1 || len(slept) != 0 {
-		t.Fatalf("miss retried: %d calls, backoff %v", inner.loadCalls, slept)
-	}
-}
-
-func TestRetryPolicyDelayCaps(t *testing.T) {
-	p := DefaultRetryPolicy()
-	if d := p.Delay(10); d != p.MaxDelay {
-		t.Fatalf("Delay(10) = %v, want cap %v", d, p.MaxDelay)
-	}
-	if d := p.Delay(63); d != p.MaxDelay { // shift overflow must not go negative
-		t.Fatalf("Delay(63) = %v, want cap %v", d, p.MaxDelay)
+	if plan.Injected() != 0 || len(slept) != 0 {
+		t.Fatalf("miss retried: %d faults fired, backoff %v", plan.Injected(), slept)
 	}
 }

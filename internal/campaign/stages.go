@@ -156,12 +156,11 @@ type cellOutcome struct {
 
 // runner holds the state a campaign threads through its stages.
 type runner struct {
-	opts   Options
-	space  *hypermapper.Space
-	cells  []Cell
-	store  ArtifactStore // retry-wrapped (and fault-wrapped in tests)
-	leases *LeaseManager // non-nil only in cooperative worker mode
-	logf   func(format string, args ...any)
+	opts  Options
+	space *hypermapper.Space
+	cells []Cell
+	store *Store // checkpoint store (nil without CheckpointDir)
+	logf  func(format string, args ...any)
 
 	anchors []int   // transfer mode: grid-diagonal anchor cells
 	donors  [][]int // transfer mode: per-cell donor indices (nil = explores from scratch)
@@ -215,21 +214,17 @@ func newRunner(opts Options) (*runner, error) {
 		}
 	}
 	if opts.CheckpointDir != "" {
-		store, err := OpenStore(opts.CheckpointDir)
+		// Leases only in cooperative worker mode (an empty WorkerID
+		// opens the store without them).
+		store, err := openStore(sharedfs.Config{
+			Dir: opts.CheckpointDir, Worker: opts.WorkerID, LeaseTTL: opts.LeaseTTL,
+			Log: r.logf, Sleep: opts.sleepFn, Now: opts.nowFn,
+		})
 		if err != nil {
 			return nil, err
 		}
-		var inner ArtifactStore = store
-		if opts.wrapStore != nil {
-			inner = opts.wrapStore(store)
-		}
-		// Bounded retry-with-backoff around every store operation:
-		// transient I/O faults (full disk, blinking NFS) cost
-		// milliseconds, not a crash or a re-simulation.
-		r.store = NewRetryStore(inner, DefaultRetryPolicy(), opts.sleepFn)
-		if opts.WorkerID != "" {
-			r.leases = NewLeaseManager(store.Dir(), opts.WorkerID, opts.LeaseTTL, opts.nowFn)
-		}
+		store.fs.InjectFaults(opts.storeFaults)
+		r.store = store
 	}
 	// The rendered-sequence cache. With SeqCacheDir it is the shared
 	// content-addressed store (each distinct sequence rendered once per
@@ -246,9 +241,7 @@ func newRunner(opts Options) (*runner, error) {
 		Sleep:    opts.sleepFn,
 		Now:      opts.nowFn,
 	})
-	if opts.cacheFaults != nil {
-		r.cache.InjectFaults(*opts.cacheFaults)
-	}
+	r.cache.InjectFaults(opts.cacheFaults)
 	// The persistent evaluation store. With EvalCacheDir every simulation
 	// result is published to (and looked up from) the shared
 	// content-addressed store, so each distinct (configuration, sequence,
@@ -266,9 +259,7 @@ func newRunner(opts Options) (*runner, error) {
 			Sleep:    opts.sleepFn,
 			Now:      opts.nowFn,
 		})
-		if opts.evalFaults != nil {
-			r.evals.InjectFaults(*opts.evalFaults)
-		}
+		r.evals.InjectFaults(opts.evalFaults)
 	}
 	n := len(r.cells)
 	r.screens = make([]*cellArtifact, n)
@@ -452,14 +443,7 @@ func allIndices(n int) []int {
 
 // cellStage produces one cell's exploration artifact at the given
 // fidelity: loaded from the checkpoint store when a peer (or a prior
-// run) completed it, computed here otherwise. In cooperative worker
-// mode the computation is guarded by the cell's lease — the worker
-// claims, computes under a heartbeat, and releases; when another live
-// worker holds the claim, this one polls until the artifact appears or
-// the holder's lease expires and is taken over. A cancellation request
-// is honoured before any computation (and on every poll turn), so a
-// canceled campaign stops at cell granularity: in-flight cells finish
-// and checkpoint, waiting ones never start.
+// run) completed it, computed here otherwise (see once).
 func (r *runner) cellStage(stage Stage, cell Cell, fidelity string) *cellOutcome {
 	out := r.cellStageLocked(cell, fidelity)
 	r.emitCell(stage, cell, out)
@@ -467,57 +451,65 @@ func (r *runner) cellStage(stage Stage, cell Cell, fidelity string) *cellOutcome
 }
 
 func (r *runner) cellStageLocked(cell Cell, fidelity string) *cellOutcome {
-	if r.canceled() {
-		return &cellOutcome{err: ErrCanceled}
-	}
 	name := r.artifactName(cell, fidelity)
-	if out, done := r.tryLoadCell(cell, name, fidelity); done {
-		return out
+	var out *cellOutcome
+	load := func() (bool, error) {
+		art := &cellArtifact{}
+		ok, err := r.load(name, art)
+		if err != nil || !ok || art.Fidelity != fidelity {
+			return false, err
+		}
+		r.logf("cell %d (%s on %s): resumed %s exploration from checkpoint",
+			cell.Index, cell.Scenario.Name, cell.Target.Name, fidelity)
+		out = &cellOutcome{art: art, resumed: true, owner: "store"}
+		return true, nil
 	}
-	if r.leases == nil {
-		return r.computeCell(cell, fidelity, name)
+	if err := r.once(cell, name, load, func() { out = r.computeCell(cell, fidelity, name) }); err != nil {
+		return &cellOutcome{err: err}
 	}
-	backoff := newPollBackoff()
-	for {
-		if r.canceled() {
-			return &cellOutcome{err: ErrCanceled}
-		}
-		lease, acquired, err := r.leases.TryAcquire(name)
-		if err != nil {
-			// Lease-file I/O faults are contention-shaped: log and poll.
-			r.logf("cell %d (%s on %s): %v", cell.Index, cell.Scenario.Name, cell.Target.Name, err)
-		}
-		if acquired {
-			stop := r.heartbeat(lease)
-			out := r.computeCell(cell, fidelity, name)
-			stop()
-			return out
-		}
-		r.opts.sleepFn(backoff.Next())
-		if out, done := r.tryLoadCell(cell, name, fidelity); done {
-			return out
-		}
-	}
+	return out
 }
 
-// tryLoadCell loads a completed artifact if the store has one; done is
-// false when the caller should compute (or keep waiting for) the cell.
-func (r *runner) tryLoadCell(cell Cell, name, fidelity string) (*cellOutcome, bool) {
+// once produces one cell artifact through the checkpoint store's
+// compute-once ladder (sharedfs.Store.Once): load the artifact if a
+// prior run or a peer completed it, else compute it — in cooperative
+// worker mode under the artifact's lease, re-checking after the
+// acquire and waiting on a live holder for as long as it heartbeats
+// (a dead holder's lease expires and is taken over). A cancellation
+// request is honoured before any computation and on every poll turn,
+// so a canceled campaign stops at cell granularity: in-flight cells
+// finish and checkpoint, waiting ones never start. A lease fault costs
+// the lease, not the cell: leases only distribute work, so the cell is
+// computed without one.
+func (r *runner) once(cell Cell, name string, load func() (bool, error), compute func()) error {
+	if r.store == nil {
+		if r.canceled() {
+			return ErrCanceled
+		}
+		compute()
+		return nil
+	}
+	switch how, err := r.store.fs.Once(name, 0, r.cancelErr, load, compute); how {
+	case sharedfs.Failed:
+		if err == ErrCanceled {
+			return err
+		}
+		return fmt.Errorf("campaign: cell %s/%s: %w", cell.Scenario.Name, cell.Target.Name, err)
+	case sharedfs.Inline:
+		r.logf("cell %d (%s on %s): %v; computing without the lease",
+			cell.Index, cell.Scenario.Name, cell.Target.Name, err)
+		compute()
+	}
+	return nil
+}
+
+// load reads a checkpoint artifact when the run consumes them; a run
+// without Resume treats every artifact as a miss.
+func (r *runner) load(name string, out any) (bool, error) {
 	if !r.opts.Resume || r.store == nil {
-		return nil, false
+		return false, nil
 	}
-	art := &cellArtifact{}
-	ok, err := r.store.Load(name, art)
-	if err != nil {
-		return &cellOutcome{err: fmt.Errorf("campaign: cell %s/%s: %w",
-			cell.Scenario.Name, cell.Target.Name, err)}, true
-	}
-	if !ok || art.Fidelity != fidelity {
-		return nil, false
-	}
-	r.logf("cell %d (%s on %s): resumed %s exploration from checkpoint",
-		cell.Index, cell.Scenario.Name, cell.Target.Name, fidelity)
-	return &cellOutcome{art: art, resumed: true, owner: "store"}, true
+	return r.store.Load(name, out)
 }
 
 // computeCell explores the cell (quarantining panics), persists the
@@ -561,18 +553,6 @@ func (r *runner) exploreCellQuarantined(cell Cell, fidelity string) (art *cellAr
 	}()
 	return r.exploreCell(cell, fidelity)
 }
-
-// heartbeat renews lease until the returned stop function is called,
-// then releases it (sharedfs.Heartbeat: renewal at TTL/3 so one missed
-// beat — GC pause, NFS hiccup — does not forfeit the lease).
-func (r *runner) heartbeat(lease *Lease) (stop func()) {
-	return sharedfs.Heartbeat(lease, r.opts.LeaseTTL, r.logf)
-}
-
-// newPollBackoff is the deterministic wait ladder used while another
-// worker holds a cell (sharedfs.PollBackoff: 10ms doubling to a 200ms
-// cap). Wall-clock enters scheduling only; results never depend on it.
-func newPollBackoff() *sharedfs.PollBackoff { return sharedfs.NewPollBackoff() }
 
 // exploreCell runs one cell's constrained Fig2-style exploration at the
 // given fidelity and packages the outcome as an artifact.
@@ -834,53 +814,26 @@ func (r *runner) crossCell(j int, cell Cell, candidates []hypermapper.Point, can
 }
 
 func (r *runner) crossCellLocked(j int, cell Cell, candidates []hypermapper.Point, candHash string) ([]hypermapper.Metrics, bool, error) {
-	if r.canceled() {
-		return nil, false, ErrCanceled
-	}
 	name := r.crossName(cell, candHash)
-	load := func() ([]hypermapper.Metrics, bool, error) {
-		if !r.opts.Resume || r.store == nil {
-			return nil, false, nil
-		}
+	var metrics []hypermapper.Metrics
+	var resumed bool
+	var merr error
+	load := func() (bool, error) {
 		var ca crossArtifact
-		ok, err := r.store.Load(name, &ca)
-		if err != nil {
-			return nil, false, fmt.Errorf("campaign: cell %s/%s: %w", cell.Scenario.Name, cell.Target.Name, err)
-		}
-		if !ok || len(ca.Metrics) != len(candidates) {
-			return nil, false, nil
+		ok, err := r.load(name, &ca)
+		if err != nil || !ok || len(ca.Metrics) != len(candidates) {
+			return false, err
 		}
 		r.logf("cell %d (%s on %s): resumed cross-measurement from checkpoint",
 			cell.Index, cell.Scenario.Name, cell.Target.Name)
-		return ca.Metrics, true, nil
+		metrics, resumed = ca.Metrics, true
+		return true, nil
 	}
-	if metrics, ok, err := load(); ok || err != nil {
-		return metrics, true, err
+	err := r.once(cell, name, load, func() { metrics, merr = r.measureCell(j, cell, candidates, name) })
+	if err == nil {
+		err = merr
 	}
-	if r.leases == nil {
-		metrics, err := r.measureCell(j, cell, candidates, name)
-		return metrics, false, err
-	}
-	backoff := newPollBackoff()
-	for {
-		if r.canceled() {
-			return nil, false, ErrCanceled
-		}
-		lease, acquired, err := r.leases.TryAcquire(name)
-		if err != nil {
-			r.logf("cell %d (%s on %s): %v", cell.Index, cell.Scenario.Name, cell.Target.Name, err)
-		}
-		if acquired {
-			stop := r.heartbeat(lease)
-			metrics, err := r.measureCell(j, cell, candidates, name)
-			stop()
-			return metrics, false, err
-		}
-		r.opts.sleepFn(backoff.Next())
-		if metrics, ok, err := load(); ok || err != nil {
-			return metrics, true, err
-		}
-	}
+	return metrics, resumed, err
 }
 
 // measureCell measures every candidate in the cell at full fidelity and

@@ -225,14 +225,11 @@ func (r *runner) donorData(cell Cell, fidelity string, donors []int) (sets [][]h
 			continue
 		}
 		obs := art.Observations
-		if r.opts.Resume && r.store != nil {
-			var log obsLogArtifact
-			ok, err := r.store.Load(r.obsLogName(r.cells[idx], fidelity), &log)
-			if err == nil && ok && log.Fidelity == fidelity {
-				obs = log.Observations
-			}
-			// A missing or faulted log is not an error: the in-memory
-			// artifact carries the same observations.
+		// A missing or faulted log is not an error: the in-memory
+		// artifact carries the same observations.
+		var log obsLogArtifact
+		if ok, err := r.load(r.obsLogName(r.cells[idx], fidelity), &log); err == nil && ok && log.Fidelity == fidelity {
+			obs = log.Observations
 		}
 		usable := hypermapper.FullObservations(obs)
 		if len(usable) == 0 {

@@ -289,9 +289,9 @@ func TestSaveENOSPCDegradesInline(t *testing.T) {
 	dir := t.TempDir()
 	calls := 0
 	s := open(t, dir, nil)
-	plan := FaultPlan{Save: map[int]FaultKind{}}
+	plan := &sharedfs.FaultPlan{Save: map[int]sharedfs.FaultKind{}}
 	for i := 0; i < 8; i++ {
-		plan.Save[i] = FaultWriteError
+		plan.Save[i] = sharedfs.FaultWriteError
 	}
 	s.InjectFaults(plan)
 	s.Scope("seq-x", "d", 1).Evaluate(hypermapper.Point{1}, simulator(&calls))
@@ -299,7 +299,7 @@ func TestSaveENOSPCDegradesInline(t *testing.T) {
 	if calls != 1 || st.Simulations != 1 || st.Degradations != 1 || st.Published != 0 {
 		t.Fatalf("ENOSPC path wrong (calls=%d stats=%+v)", calls, st)
 	}
-	if s.Injected() == 0 {
+	if plan.Injected() == 0 {
 		t.Fatalf("fault plan never fired")
 	}
 	noDebris(t, dir)
@@ -310,7 +310,7 @@ func TestTransientShortWriteRetriesToSuccess(t *testing.T) {
 	pt := hypermapper.Point{1}
 	calls := 0
 	s := open(t, dir, nil)
-	s.InjectFaults(FaultPlan{Save: map[int]FaultKind{0: FaultShortWrite}})
+	s.InjectFaults(&sharedfs.FaultPlan{Save: map[int]sharedfs.FaultKind{0: sharedfs.FaultShortWrite}})
 	s.Scope("seq-x", "d", 1).Evaluate(pt, simulator(&calls))
 	// The retried save replaced the torn file whole.
 	s2 := open(t, dir, nil)
@@ -331,9 +331,9 @@ func TestReadErrorDegradesInline(t *testing.T) {
 	open(t, dir, nil).Scope("seq-x", "d", 1).Evaluate(pt, simulator(&calls))
 
 	s := open(t, dir, nil)
-	plan := FaultPlan{Load: map[int]FaultKind{}}
+	plan := &sharedfs.FaultPlan{Load: map[int]sharedfs.FaultKind{}}
 	for i := 0; i < 8; i++ {
-		plan.Load[i] = FaultReadError
+		plan.Load[i] = sharedfs.FaultReadError
 	}
 	s.InjectFaults(plan)
 	s.Scope("seq-x", "d", 1).Evaluate(pt, simulator(&calls))

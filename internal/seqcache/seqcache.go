@@ -1,45 +1,29 @@
-// Package seqcache is the fault-tolerant content-addressed cache of
-// rendered synthetic sequences. Rendering a sequence (ray-marching an
-// SDF scene along a trajectory) dwarfs the cost of reading it back, and
-// a campaign grid re-renders the same few sequences once per scenario
-// cell, once per cooperating process, once per stage. The cache keys
-// each rendered sequence by a canonical content hash of everything that
-// determines its frames (see core.Scale.CacheKey), so all cells, stages
-// and worker processes sharing a cache directory render each distinct
-// sequence exactly once and load it everywhere else.
+// Package seqcache is the content-addressed cache of rendered synthetic
+// sequences. Rendering a sequence (ray-marching an SDF scene along a
+// trajectory) dwarfs the cost of reading it back, and a campaign grid
+// re-renders the same few sequences once per scenario cell, once per
+// cooperating process, once per stage. The cache keys each rendered
+// sequence by a canonical content hash of everything that determines
+// its frames (see core.Scale.CacheKey), so all cells, stages and worker
+// processes sharing a cache directory render each distinct sequence
+// exactly once and load it everywhere else.
 //
-// The design inherits the campaign checkpoint store's crash-safety
-// contract wholesale (both are built on internal/sharedfs):
-//
-//   - Writes are atomic (temp file + fsync + rename) and every writer
-//     of a key produces identical bytes, so concurrent writers — racing
-//     goroutines or racing processes — are benign: the last complete
-//     rename wins and the winner is indistinguishable from the loser.
-//   - Every artifact embeds its key and a sha256 checksum; a load
-//     verifies both. Any defect — absent, truncated, torn, bit-rotted,
-//     version-mismatched, misfiled — is a miss that re-rendering
-//     repairs, never an error and never bad frames.
-//   - Real I/O faults ride the bounded deterministic retry ladder.
-//   - Concurrent renders of one key are single-flighted twice: an
-//     in-process per-key lock, and across processes the worker-lease
-//     protocol (heartbeat + TTL takeover, so a SIGKILLed renderer's
-//     key is taken over instead of wedging the campaign).
-//
-// Every cache failure mode degrades to inline rendering: an unwritable
-// directory, an unreadable artifact after retries, an ENOSPC save, a
-// wedged lease — each is logged, counted in Stats.Degradations, and
-// answered by calling the renderer directly. The cache can lose every
-// byte it owns and the campaign still completes with an identical
-// report, just slower. No cache failure is ever fatal.
+// The cache is a codec over the one content-addressed store of
+// internal/sharedfs — the same store the campaign checkpoints and the
+// evaluation store use. This package keeps only what is its own: the
+// "SQC1" artifact format (format.go), flat "<key>.seq" files, the
+// per-key in-process memory tier that single-flights concurrent
+// callers, and its counters. Atomic writes, verified loads (any defect
+// is a miss that re-rendering repairs), the retry ladder, lease
+// single-flight across processes, deterministic eviction and the
+// never-fatal degradation to inline rendering all come from
+// sharedfs.Store.Fetch: the cache can lose every byte it owns and the
+// campaign still completes with an identical report, just slower.
 package seqcache
 
 import (
-	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -98,13 +82,9 @@ type Options struct {
 	// takeover. Default 10s.
 	LeaseTTL time.Duration
 	// MaxBytes bounds the on-disk size; 0 means unbounded. Enforced
-	// after each save by deterministic eviction (lexicographic key
-	// order, newest write exempt), so cooperating processes evict
-	// identically.
+	// after saves by deterministic eviction (lexicographic key order,
+	// newest write exempt), so cooperating processes evict identically.
 	MaxBytes int64
-	// Retry is the transient-fault ladder; zero value means
-	// sharedfs.DefaultRetryPolicy.
-	Retry sharedfs.RetryPolicy
 	// Log (may be nil) receives degradation and hygiene messages.
 	Log func(format string, args ...any)
 	// Sleep (nil = time.Sleep) paces retries and lease polls; tests
@@ -126,19 +106,11 @@ const maxLeasePolls = 600
 // concurrent use by any number of goroutines; any number of processes
 // may share its directory.
 type Cache struct {
-	dir      string
-	maxBytes int64
-	ttl      time.Duration
-	retry    sharedfs.RetryPolicy
-	logf     func(format string, args ...any)
-	sleep    func(time.Duration)
-	leases   *sharedfs.LeaseManager
-	faults   faultInjector
+	store *sharedfs.Store[*dataset.MemorySequence]
 
-	mu      sync.Mutex
-	broken  bool // directory unusable: every miss degrades to inline
-	entries map[string]*entry
-	stats   Stats
+	mu         sync.Mutex
+	entries    map[string]*entry
+	memoryHits int
 }
 
 // entry single-flights one key in-process: the per-entry lock serialises
@@ -149,6 +121,15 @@ type entry struct {
 	seq *dataset.MemorySequence
 }
 
+// codec is the SQC1 artifact format as a sharedfs codec.
+type codec struct{}
+
+func (codec) Encode(key string, seq *dataset.MemorySequence) ([]byte, error) {
+	return Encode(key, seq), nil
+}
+
+func (codec) Decode(data []byte) (string, *dataset.MemorySequence, error) { return Decode(data) }
+
 // New opens (creating if needed) a cache over opts.Dir, sweeping the
 // debris dead renderers leave behind (stale temp files, orphaned
 // leases). New never fails: an unusable directory is a degraded cache,
@@ -157,71 +138,27 @@ func New(opts Options) *Cache {
 	if opts.Worker == "" {
 		opts.Worker = fmt.Sprintf("pid%d", os.Getpid())
 	}
-	if opts.LeaseTTL <= 0 {
-		opts.LeaseTTL = 10 * time.Second
+	store, err := sharedfs.Open[*dataset.MemorySequence](sharedfs.Config{
+		Dir: opts.Dir, Label: "seqcache", Ext: ".seq", MaxBytes: opts.MaxBytes,
+		Worker: opts.Worker, LeaseTTL: opts.LeaseTTL, Log: opts.Log, Sleep: opts.Sleep, Now: opts.Now,
+	}, codec{})
+	if err != nil && opts.Log != nil {
+		opts.Log("seqcache: %v (cache disabled, rendering inline)", err)
 	}
-	if opts.Retry == (sharedfs.RetryPolicy{}) {
-		opts.Retry = sharedfs.DefaultRetryPolicy()
-	}
-	if opts.Sleep == nil {
-		opts.Sleep = time.Sleep
-	}
-	logf := opts.Log
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	c := &Cache{
-		dir:      opts.Dir,
-		maxBytes: opts.MaxBytes,
-		ttl:      opts.LeaseTTL,
-		retry:    opts.Retry,
-		logf:     logf,
-		sleep:    opts.Sleep,
-		entries:  map[string]*entry{},
-	}
-	if c.dir != "" {
-		if err := os.MkdirAll(c.dir, 0o755); err != nil {
-			c.logf("seqcache: %v (cache disabled, rendering inline)", err)
-			c.broken = true
-			return c
-		}
-		sharedfs.SweepDebris(c.dir, sharedfs.DefaultDebrisAge, opts.Now)
-		c.leases = sharedfs.NewLeaseManager(c.dir, opts.Worker, opts.LeaseTTL, opts.Now)
-	}
-	return c
+	return &Cache{store: store, entries: map[string]*entry{}}
 }
-
-// Dir returns the cache directory ("" in memory-only mode).
-func (c *Cache) Dir() string { return c.dir }
-
-// Path returns where key's artifact lives (test and tooling surface —
-// the fault suite and the smoke test damage files in place).
-func (c *Cache) Path(key string) string { return filepath.Join(c.dir, key+".seq") }
 
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() Stats {
+	n := c.store.Counters()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	return Stats{Renders: n.Computes, DiskHits: n.DiskHits, MemoryHits: c.memoryHits,
+		Degradations: n.Degradations, Evictions: n.Evictions}
 }
 
 // InjectFaults arms the fault plan (crash-safety tests only).
-func (c *Cache) InjectFaults(plan FaultPlan) { c.faults.plan = plan }
-
-// Injected reports how many injected faults have fired — tests assert
-// it to prove the schedule actually exercised the recovery paths.
-func (c *Cache) Injected() int {
-	c.faults.mu.Lock()
-	defer c.faults.mu.Unlock()
-	return c.faults.injected
-}
-
-// bump mutates the stats under the cache lock.
-func (c *Cache) bump(f func(*Stats)) {
-	c.mu.Lock()
-	f(&c.stats)
-	c.mu.Unlock()
-}
+func (c *Cache) InjectFaults(plan *sharedfs.FaultPlan) { c.store.InjectFaults(plan) }
 
 // entryFor returns (creating if needed) key's single-flight slot.
 func (c *Cache) entryFor(key string) *entry {
@@ -233,6 +170,11 @@ func (c *Cache) entryFor(key string) *entry {
 		c.entries[key] = e
 	}
 	return e
+}
+
+// sources names each store outcome as a Source.
+var sources = map[sharedfs.Outcome]Source{
+	sharedfs.Loaded: SourceDisk, sharedfs.Computed: SourceRender, sharedfs.Inline: SourceInline,
 }
 
 // Sequence returns the rendered sequence for key, rendering via render
@@ -250,207 +192,15 @@ func (c *Cache) Sequence(key string, render RenderFunc) (*dataset.MemorySequence
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.seq != nil {
-		c.bump(func(s *Stats) { s.MemoryHits++ })
+		c.mu.Lock()
+		c.memoryHits++
+		c.mu.Unlock()
 		return e.seq, SourceMemory, nil
 	}
-	seq, src, err := c.acquire(key, render)
+	seq, how, err := c.store.Fetch(key, maxLeasePolls, render, nil)
 	if err != nil {
-		return nil, src, err
+		return nil, sources[how], err
 	}
 	e.seq = seq
-	return seq, src, nil
-}
-
-// acquire produces key's sequence from disk, a coordinated render, or
-// an inline fallback. Runs under the key's entry lock.
-func (c *Cache) acquire(key string, render RenderFunc) (*dataset.MemorySequence, Source, error) {
-	c.mu.Lock()
-	broken := c.broken
-	c.mu.Unlock()
-	if c.dir == "" {
-		// Memory-only mode: a render here is the cache working as
-		// configured, not a degradation.
-		seq, err := render()
-		if err != nil {
-			return nil, SourceRender, err
-		}
-		c.bump(func(s *Stats) { s.Renders++ })
-		return seq, SourceRender, nil
-	}
-	if broken {
-		return c.inline(key, render, "cache directory unusable")
-	}
-	if seq, hit, err := c.load(key); hit {
-		c.bump(func(s *Stats) { s.DiskHits++ })
-		return seq, SourceDisk, nil
-	} else if err != nil {
-		return c.inline(key, render, fmt.Sprintf("load failed: %v", err))
-	}
-	if c.leases == nil {
-		return c.renderAndPublish(key, render)
-	}
-	// Cross-process single-flight: claim the key's lease and render, or
-	// watch a live holder until its artifact appears / its lease expires
-	// (TTL takeover of dead renderers). A holder that never publishes
-	// and never dies is bounded by maxLeasePolls → inline degradation.
-	backoff := sharedfs.NewPollBackoff()
-	for polls := 0; ; polls++ {
-		lease, acquired, err := c.leases.TryAcquire(key)
-		if err != nil {
-			return c.inline(key, render, fmt.Sprintf("lease failed: %v", err))
-		}
-		if acquired {
-			stop := sharedfs.Heartbeat(lease, c.ttl, c.logf)
-			seq, src, rerr := c.renderAndPublish(key, render)
-			stop()
-			return seq, src, rerr
-		}
-		if polls >= maxLeasePolls {
-			return c.inline(key, render, "renderer holding the lease never published")
-		}
-		c.sleep(backoff.Next())
-		if seq, hit, err := c.load(key); hit {
-			c.bump(func(s *Stats) { s.DiskHits++ })
-			return seq, SourceDisk, nil
-		} else if err != nil {
-			return c.inline(key, render, fmt.Sprintf("load failed: %v", err))
-		}
-	}
-}
-
-// inline is the bottom of the degradation ladder: render without the
-// cache, log why, count it. Never fatal — the only error out of here is
-// the renderer's own.
-func (c *Cache) inline(key string, render RenderFunc, why string) (*dataset.MemorySequence, Source, error) {
-	c.logf("seqcache: %s: %s; degrading to inline render", key, why)
-	seq, err := render()
-	if err != nil {
-		return nil, SourceInline, err
-	}
-	c.bump(func(s *Stats) { s.Renders++; s.Degradations++ })
-	return seq, SourceInline, nil
-}
-
-// renderAndPublish renders key and publishes the artifact. A failed
-// publish degrades (the freshly rendered frames are still returned —
-// only the *cache* failed) rather than failing the caller.
-func (c *Cache) renderAndPublish(key string, render RenderFunc) (*dataset.MemorySequence, Source, error) {
-	seq, err := render()
-	if err != nil {
-		return nil, SourceRender, err
-	}
-	c.bump(func(s *Stats) { s.Renders++ })
-	if err := c.save(key, seq); err != nil {
-		c.logf("seqcache: %s: save failed: %v; sequence served inline", key, err)
-		c.bump(func(s *Stats) { s.Degradations++ })
-		return seq, SourceInline, nil
-	}
-	c.evict(key)
-	return seq, SourceRender, nil
-}
-
-// save publishes key's artifact atomically, riding the retry ladder
-// over transient faults. Each attempt is one fault-plan op.
-func (c *Cache) save(key string, seq *dataset.MemorySequence) error {
-	data := Encode(key, seq)
-	path := c.Path(key)
-	return c.retry.Retry("seqcache: saving "+key, c.sleep, func() error {
-		write := func() error { return sharedfs.WriteFileAtomic(c.dir, path, key, data) }
-		if fired, ferr := c.faults.saveFault(path, write); fired {
-			return ferr
-		}
-		return write()
-	})
-}
-
-// load reads and verifies key's artifact. hit=false with nil error is a
-// clean miss (absent or damaged — damage is logged and re-rendering
-// repairs it); a non-nil error is a real I/O fault that survived the
-// retry ladder, which callers answer with inline degradation. Each
-// attempt is one fault-plan op; misses are never retried.
-func (c *Cache) load(key string) (seq *dataset.MemorySequence, hit bool, err error) {
-	path := c.Path(key)
-	err = c.retry.Retry("seqcache: loading "+key, c.sleep, func() error {
-		seq, hit = nil, false
-		if ferr := c.faults.loadFault(path); ferr != nil {
-			return ferr
-		}
-		data, rerr := os.ReadFile(path)
-		if errors.Is(rerr, os.ErrNotExist) {
-			return nil
-		}
-		if rerr != nil {
-			return rerr
-		}
-		gotKey, s, derr := Decode(data)
-		if derr != nil {
-			c.logf("seqcache: %s: %v; treating as miss, will re-render", key, derr)
-			return nil
-		}
-		if gotKey != key {
-			c.logf("seqcache: %s: artifact is keyed %s (misfiled); treating as miss", key, gotKey)
-			return nil
-		}
-		seq, hit = s, true
-		return nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return seq, hit, nil
-}
-
-// evict enforces MaxBytes after a save: walk the directory's artifacts
-// in lexicographic key order — a pure function of the directory
-// contents, so every cooperating process evicts identically — removing
-// until under budget. The just-published key is exempt (evicting what
-// the caller is about to use would thrash). Best-effort: eviction I/O
-// faults are logged, never propagated, and an evicted artifact another
-// process still wanted is just a future miss.
-func (c *Cache) evict(just string) {
-	if c.maxBytes <= 0 {
-		return
-	}
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		c.logf("seqcache: evict: %v", err)
-		return
-	}
-	type art struct {
-		key  string
-		size int64
-	}
-	var arts []art
-	var total int64
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".seq") {
-			continue
-		}
-		info, ierr := e.Info()
-		if ierr != nil {
-			continue
-		}
-		arts = append(arts, art{key: strings.TrimSuffix(name, ".seq"), size: info.Size()})
-		total += info.Size()
-	}
-	if total <= c.maxBytes {
-		return
-	}
-	sort.Slice(arts, func(i, j int) bool { return arts[i].key < arts[j].key })
-	for _, a := range arts {
-		if total <= c.maxBytes {
-			return
-		}
-		if a.key == just {
-			continue
-		}
-		if rerr := os.Remove(c.Path(a.key)); rerr != nil {
-			c.logf("seqcache: evict %s: %v", a.key, rerr)
-			continue
-		}
-		total -= a.size
-		c.bump(func(s *Stats) { s.Evictions++ })
-		c.logf("seqcache: evicted %s (%d bytes) to stay under %d", a.key, a.size, c.maxBytes)
-	}
+	return seq, sources[how], nil
 }

@@ -221,9 +221,9 @@ func TestSaveENOSPCDegradesInline(t *testing.T) {
 	calls := 0
 	c := open(t, dir, nil)
 	// Every retry attempt hits the full disk.
-	plan := FaultPlan{Save: map[int]FaultKind{}}
+	plan := &sharedfs.FaultPlan{Save: map[int]sharedfs.FaultKind{}}
 	for i := 0; i < 8; i++ {
-		plan.Save[i] = FaultWriteError
+		plan.Save[i] = sharedfs.FaultWriteError
 	}
 	c.InjectFaults(plan)
 	got, src, err := c.Sequence("seq-a", renderer(seq, &calls))
@@ -237,7 +237,7 @@ func TestSaveENOSPCDegradesInline(t *testing.T) {
 	if st.Renders != 1 || st.Degradations != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if c.Injected() == 0 {
+	if plan.Injected() == 0 {
 		t.Fatalf("fault plan never fired")
 	}
 	noDebris(t, dir)
@@ -248,7 +248,7 @@ func TestTransientShortWriteRetriesToSuccess(t *testing.T) {
 	seq := testSeq("s", 3)
 	calls := 0
 	c := open(t, dir, nil)
-	c.InjectFaults(FaultPlan{Save: map[int]FaultKind{0: FaultShortWrite}})
+	c.InjectFaults(&sharedfs.FaultPlan{Save: map[int]sharedfs.FaultKind{0: sharedfs.FaultShortWrite}})
 	if _, src, err := c.Sequence("seq-a", renderer(seq, &calls)); err != nil || src != SourceRender {
 		t.Fatalf("acquire = %v, %v; want render (retry healed the torn write)", src, err)
 	}
@@ -269,9 +269,9 @@ func TestReadErrorDegradesInline(t *testing.T) {
 	open(t, dir, nil).Sequence("seq-a", renderer(seq, &calls))
 
 	c := open(t, dir, nil)
-	plan := FaultPlan{Load: map[int]FaultKind{}}
+	plan := &sharedfs.FaultPlan{Load: map[int]sharedfs.FaultKind{}}
 	for i := 0; i < 8; i++ {
-		plan.Load[i] = FaultReadError
+		plan.Load[i] = sharedfs.FaultReadError
 	}
 	c.InjectFaults(plan)
 	got, src, err := c.Sequence("seq-a", renderer(seq, &calls))
@@ -293,7 +293,7 @@ func TestInjectedCorruptReadIsAMissNotADegradation(t *testing.T) {
 	open(t, dir, nil).Sequence("seq-a", renderer(seq, &calls))
 
 	c := open(t, dir, nil)
-	c.InjectFaults(FaultPlan{Load: map[int]FaultKind{0: FaultCorruptRead}})
+	c.InjectFaults(&sharedfs.FaultPlan{Load: map[int]sharedfs.FaultKind{0: sharedfs.FaultCorruptRead}})
 	if _, src, err := c.Sequence("seq-a", renderer(seq, &calls)); err != nil || src != SourceRender {
 		t.Fatalf("corrupt-read acquire = %v, %v; want silent re-render", src, err)
 	}
@@ -323,7 +323,7 @@ func TestDeadRendererLeaseTakeover(t *testing.T) {
 		t.Fatalf("takeover render wrong (calls=%d)", calls)
 	}
 	// The takeover released the lease after publishing.
-	if _, _, ok := c.leases.Holder("seq-a"); ok {
+	if _, _, ok := dead.Holder("seq-a"); ok {
 		t.Fatalf("lease not released after takeover render")
 	}
 	noDebris(t, dir)

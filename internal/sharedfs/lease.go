@@ -1,12 +1,3 @@
-// Package sharedfs holds the crash-safety primitives for directories
-// shared by cooperating processes: atomic file publication (temp file +
-// fsync + rename), a bounded deterministic retry ladder for transient
-// I/O faults, the worker-lease protocol that distributes work across
-// processes sharing a directory, and a debris sweeper that
-// garbage-collects the temp and lease files SIGKILLed processes leave
-// behind. The campaign checkpoint store and the rendered-sequence cache
-// are both built on these primitives, so their fault semantics are
-// identical by construction.
 package sharedfs
 
 import (
@@ -23,9 +14,10 @@ import (
 // shared filesystem) split a set of named work items, and any of them
 // can die at any instant without losing the overall job.
 //
-// A worker claims an item by atomically creating `<name>.lease`
-// (O_CREATE|O_EXCL) carrying its worker id and a heartbeat timestamp.
-// While the item runs the holder renews the heartbeat; a lease whose
+// A worker claims an item by atomically creating `<name>.lease` (a
+// whole record hard-linked into place, so the name appears complete or
+// not at all) carrying its worker id and a heartbeat timestamp. While
+// the item runs the holder renews the heartbeat; a lease whose
 // heartbeat is older than the TTL is expired and may be taken over by
 // any other worker. On completion the holder publishes the result
 // (atomic rename) and releases the lease.
@@ -119,65 +111,57 @@ func (m *LeaseManager) expired(rec leaseRecord) bool {
 }
 
 // TryAcquire attempts to claim name. It returns (lease, true) when this
-// worker now holds the claim — either by creating the lease file
-// atomically or by taking over an expired one — and (nil, false) when a
-// live worker holds it. Errors are real I/O faults; callers in a poll
-// loop may treat them like contention and retry.
+// worker now holds the claim — either by creating the lease file or by
+// taking over an expired one — and (nil, false) when a live worker
+// holds it (or won the race to create it). Errors are real I/O faults.
+//
+// A new lease is published whole: the record is written to a temp file
+// and hard-linked to the lease name, which fails when the name exists,
+// so exactly one of any number of racing creators wins and no peer ever
+// reads a half-written record (whose zero heartbeat would look expired
+// and invite a takeover).
 func (m *LeaseManager) TryAcquire(name string) (*Lease, bool, error) {
-	path := m.leasePath(name)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err == nil {
-		_, werr := f.Write(m.record())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			os.Remove(path)
-			return nil, false, fmt.Errorf("sharedfs: lease %s: %w", name, werr)
-		}
-		return &Lease{m: m, name: name, path: path}, true, nil
-	}
-	if !errors.Is(err, os.ErrExist) {
-		return nil, false, fmt.Errorf("sharedfs: lease %s: %w", name, err)
-	}
-	rec, ok := m.read(name)
-	if !ok {
-		// The holder released between our create attempt and the read;
-		// let the caller's poll loop re-try (the artifact is probably
-		// about to appear).
+	rec, held := m.read(name)
+	if held && !m.expired(rec) {
 		return nil, false, nil
 	}
-	if !m.expired(rec) {
-		return nil, false, nil
-	}
-	// Expired: take over by atomically replacing the lease file. Two
-	// workers racing this rename both think they won — that is a benign
-	// race (see the package comment): both compute, identical bytes,
-	// last complete artifact rename wins.
-	if err := m.overwrite(name); err != nil {
+	// Absent: create. Expired: take over by atomically replacing the
+	// lease file. Two workers racing the replace both think they won —
+	// a benign race (see the package comment): both compute, identical
+	// bytes, last complete artifact rename wins.
+	if err := m.publish(name, held); err != nil {
+		if errors.Is(err, os.ErrExist) {
+			return nil, false, nil
+		}
 		return nil, false, err
 	}
-	return &Lease{m: m, name: name, path: path}, true, nil
+	return &Lease{m: m, name: name, path: m.leasePath(name)}, true, nil
 }
 
-// overwrite atomically replaces name's lease file with a fresh record
-// for this worker.
-func (m *LeaseManager) overwrite(name string) error {
+// publish writes a fresh record for this worker to a temp file and
+// moves it onto name's lease path: by rename when replace is set, by
+// hard link otherwise (which fails with os.ErrExist when the lease
+// already exists).
+func (m *LeaseManager) publish(name string, replace bool) error {
 	f, err := os.CreateTemp(m.dir, ".tmp-lease-*")
 	if err != nil {
 		return fmt.Errorf("sharedfs: lease %s: %w", name, err)
 	}
 	tmp := f.Name()
-	_, werr := f.Write(m.record())
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	defer os.Remove(tmp)
+	_, err = f.Write(m.record())
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if werr == nil {
-		werr = os.Rename(tmp, m.leasePath(name))
+	move := os.Link
+	if replace {
+		move = os.Rename
 	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("sharedfs: lease %s: %w", name, werr)
+	if err == nil {
+		err = move(tmp, m.leasePath(name))
+	}
+	if err != nil {
+		return fmt.Errorf("sharedfs: lease %s: %w", name, err)
 	}
 	return nil
 }
@@ -191,7 +175,7 @@ func (l *Lease) Renew() error {
 	if !ok || rec.Worker != l.m.worker {
 		return ErrLeaseLost
 	}
-	return l.m.overwrite(l.name)
+	return l.m.publish(l.name, true)
 }
 
 // Release drops the claim after the artifact is saved. Only a lease

@@ -63,7 +63,9 @@ echo "evalcache-smoke: warm re-run served entirely from disk"
 
 # Damage one record in place: the embedded checksum must turn it into a
 # silent miss, repaired by exactly one re-simulation and re-publish.
-VICTIM=$(find "$CACHE" -name '*.evr' | sort | head -n 1)
+# sed reads all of sort's output: head would exit after one line and
+# let a later write of sort die of SIGPIPE, failing the pipeline.
+VICTIM=$(find "$CACHE" -name '*.evr' | sort | sed -n 1p)
 printf 'CORRUPT!' | dd of="$VICTIM" bs=1 seek=16 conv=notrunc 2>/dev/null
 echo "evalcache-smoke: corrupted $(basename "$VICTIM")"
 
