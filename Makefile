@@ -29,12 +29,19 @@ bench-save:
 
 # Tiny end-to-end campaign: a 4-cell grid (2 scenarios × 2 devices) at
 # quick scale, with the multi-fidelity ladder on — the CI smoke test of
-# the cross-scene/cross-device engine.
+# the cross-scene/cross-device engine. A run rejected at flag validation
+# must exit 1 and leave an existing -o file untouched.
+SMOKE_REPORT := .campaign-smoke-report.txt
 campaign-smoke:
 	go run ./cmd/experiments -campaign -quick \
 		-campaign-scenes lr_kt0,of_kt0 \
 		-campaign-devices odroid-xu3,pixel-adreno530 \
 		-random 6 -active 1 -batch 2 -mf-stride 2 -mf-promote 0.5
+	echo keep > $(SMOKE_REPORT)
+	! go run ./cmd/experiments -campaign -quick -campaign-format bogus -o $(SMOKE_REPORT)
+	grep -qx keep $(SMOKE_REPORT)
+	rm -f $(SMOKE_REPORT)
+	@echo "campaign-smoke: rejected run left the existing report intact"
 
 # Checkpoint/resume smoke test of the staged campaign engine: run the
 # same cell-ladder campaign three ways — stopped after the Explore
@@ -50,9 +57,9 @@ campaign-resume-smoke:
 	rm -rf $(RESUME_SMOKE_DIR)
 	mkdir -p $(RESUME_SMOKE_DIR)
 	go run ./cmd/experiments $(RESUME_SMOKE_FLAGS) \
-		-campaign-checkpoint $(RESUME_SMOKE_DIR)/store -campaign-stop-after explore
+		-campaign-store $(RESUME_SMOKE_DIR)/store -campaign-stop-after explore
 	go run ./cmd/experiments $(RESUME_SMOKE_FLAGS) \
-		-campaign-checkpoint $(RESUME_SMOKE_DIR)/store -campaign-resume \
+		-campaign-store $(RESUME_SMOKE_DIR)/store -campaign-resume \
 		-o $(RESUME_SMOKE_DIR)/resumed.txt
 	go run ./cmd/experiments $(RESUME_SMOKE_FLAGS) \
 		-o $(RESUME_SMOKE_DIR)/fresh.txt
@@ -61,8 +68,8 @@ campaign-resume-smoke:
 	@echo "campaign-resume-smoke: resumed report byte-identical to uninterrupted run"
 
 # Crash-safety smoke test of the worker-lease protocol: two OS
-# processes cooperate on one campaign through a shared checkpoint
-# directory, one is SIGKILLed mid-run, and the survivor's report must be
+# processes cooperate on one campaign through a shared store root, one
+# is SIGKILLed mid-run, and the survivor's report must be
 # byte-identical to an uninterrupted single-process run.
 campaign-distributed-smoke:
 	./scripts/distributed-smoke.sh
@@ -76,10 +83,11 @@ campaign-transfer-smoke:
 	./scripts/transfer-smoke.sh
 
 # Fault-tolerance smoke test of the rendered-sequence cache: two OS
-# processes share a checkpoint AND the sequence cache, one is SIGKILLed
-# and a cache artifact is corrupted in place mid-run; the survivor's
-# report must be byte-identical to an uncached run, with no leaked temp
-# files in the cache directory.
+# processes share a store root (checkpoints AND the sequence cache in
+# its seqcache subdirectory), one is SIGKILLed and a cache artifact is
+# corrupted in place mid-run; the survivor's report must be
+# byte-identical to an uncached run, with no leaked temp files in the
+# cache directory.
 campaign-cache-smoke:
 	./scripts/cache-smoke.sh
 

@@ -42,7 +42,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port with -addr-file)")
-		data         = flag.String("data", "", "data directory: per-job checkpoints plus the shared evaluation store and sequence cache (required)")
+		data         = flag.String("data", "", "data directory: per-job checkpoints under jobs/, plus the shared evaluation store and sequence cache in the layout of a cmd/experiments -campaign-store root (required)")
 		jobs         = flag.Int("jobs", 2, "campaigns running concurrently; excess submissions queue in order")
 		accessLog    = flag.String("access-log", "-", "access log destination: a file path, \"-\" for stderr, or \"off\"")
 		addrFile     = flag.String("addr-file", "", "write the bound listen address to this file once serving (readiness signal for scripts)")

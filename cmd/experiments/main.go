@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"slamgo/internal/campaign"
@@ -22,58 +20,27 @@ import (
 )
 
 func main() {
+	var spec campaign.Spec
+	spec.BindFlags(flag.CommandLine)
 	var (
-		out       = flag.String("o", "", "write the report here (default stdout)")
-		quick     = flag.Bool("quick", false, "reduced scale (faster, noisier numbers)")
-		seed      = flag.Int64("seed", 1, "experiment seed")
-		random    = flag.Int("random", 20, "DSE random evaluations")
-		active    = flag.Int("active", 5, "DSE active iterations")
-		batch     = flag.Int("batch", 4, "DSE batch per iteration")
-		workers   = flag.Int("workers", 0, "parallel evaluation workers (0 = all CPUs; results are identical for any value)")
-		mfStride  = flag.Int("mf-stride", 0, "multi-fidelity frame stride for the DSE (>1 screens candidates on a subsampled sequence; 0 = full fidelity only)")
-		mfPromote = flag.Float64("mf-promote", 0.25, "fraction of each batch promoted to full-fidelity runs (with -mf-stride)")
-
+		out            = flag.String("o", "", "write the report here (default stdout)")
 		runCampaign    = flag.Bool("campaign", false, "run the cross-scene/cross-device DSE campaign instead of the figure experiments")
-		campScenes     = flag.String("campaign-scenes", "", "comma-separated scenario names for -campaign (lr_kt0..lr_kt3, of_kt0..of_kt1; empty = all six)")
-		campDevices    = flag.String("campaign-devices", "odroid-xu3,pixel-adreno530", "comma-separated device targets for -campaign (odroid-xu3, desktop-gpu, or phone-catalogue names)")
 		campFormat     = flag.String("campaign-format", "table", "campaign report format: table, csv or json")
-		campCheckpoint = flag.String("campaign-checkpoint", "", "persist per-cell stage artifacts into this directory (created if needed), so a killed campaign can resume")
-		campResume     = flag.Bool("campaign-resume", false, "load matching artifacts from -campaign-checkpoint instead of recomputing them")
-		campCellStride = flag.Int("campaign-cell-stride", 0, "cell-level multi-fidelity frame stride (>1 screens every cell on a subsampled sequence and promotes only competitive cells to full fidelity)")
-		campCellProm   = flag.Float64("campaign-cell-promote", 0.5, "fraction of grid cells promoted to full-fidelity exploration (with -campaign-cell-stride)")
+		campStore      = flag.String("campaign-store", "", "persist the campaign into this store root (created if needed): per-cell stage artifacts in the root, so a killed campaign can resume, plus the rendered-sequence cache in <root>/seqcache and the simulation-result store in <root>/evalcache, shared by cooperating workers, resumed runs and separate campaigns; without it sequences and results are memoized in-process only")
+		campStoreMB    = flag.Int64("campaign-store-max-mb", 0, "bound each cache of -campaign-store (rendered sequences, simulation results) to this many MiB, evicting deterministically in key order (0 = unbounded; checkpoints are never evicted)")
+		campResume     = flag.Bool("campaign-resume", false, "load matching artifacts from -campaign-store instead of recomputing them")
 		campStopAfter  = flag.String("campaign-stop-after", "", "end the campaign cleanly after this stage (plan, explore, promote or crossmeasure) — simulates a kill at a stage boundary for checkpoint/resume workflows")
-		campWorkerID   = flag.String("campaign-worker-id", "", "run as one cooperating worker of a multi-process campaign: processes sharing -campaign-checkpoint split the grid through cell leases and any of them can be killed without losing the campaign (implies -campaign-resume)")
+		campWorkerID   = flag.String("campaign-worker-id", "", "run as one cooperating worker of a multi-process campaign: processes sharing -campaign-store split the grid through cell leases and any of them can be killed without losing the campaign (implies -campaign-resume)")
 		campLeaseTTL   = flag.Duration("campaign-lease-ttl", 0, "heartbeat deadline after which a dead worker's cell lease is reclaimed by its peers (with -campaign-worker-id; default 10s)")
-		campSeqCache   = flag.String("campaign-seq-cache", "", "content-addressed rendered-sequence cache directory shared by campaign cells and cooperating workers (default: <campaign-checkpoint>/seqcache when checkpointing, otherwise in-process only; \"off\" disables the disk cache entirely)")
-		campSeqCacheMB = flag.Int64("campaign-seq-cache-max-mb", 0, "evict oldest rendered-sequence artifacts once the cache exceeds this many MiB (0 = unbounded)")
-		campEvalCache  = flag.String("campaign-eval-cache", "", "persistent content-addressed simulation-result store shared by campaign cells, cooperating workers, resumed runs and separate campaigns — no configuration is ever simulated twice against the same store (default: <campaign-checkpoint>/evalcache when checkpointing, otherwise in-process memoization only; a relative path is anchored under -campaign-checkpoint; \"off\" disables the disk store entirely)")
-		campEvalMB     = flag.Int64("campaign-eval-cache-max-mb", 0, "evict evaluation records deterministically once the store exceeds this many MiB (0 = unbounded)")
 		campCacheStats = flag.Bool("campaign-cache-stats", false, "add the cache counters (memo, evaluation store, sequence cache) to the JSON report under \"caches\" — execution provenance that differs between cold and warm runs, so it is off by default to keep report bytes comparable")
-		campTransfer   = flag.Bool("campaign-transfer", false, "warm-start off-diagonal cells from the grid-diagonal anchor cells' results: borrowers seed from donor winners on a reduced budget and bias acquisition with a donor-pooled prior (donor data steers sampling only — it never enters a cell's reported results)")
-		campTransSeeds = flag.Int("campaign-transfer-seeds", 0, "seeding budget of a warm-started borrower cell (with -campaign-transfer; 0 = default 3, minimum 3)")
-		campKnowledge  = flag.Bool("campaign-knowledge", false, "extract per-cell decision rules (paper §V 'knowledge extraction') from each full-fidelity cell's observations into the JSON report")
 	)
 	flag.Parse()
 
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	scale := core.DefaultScale()
-	if *quick {
-		scale = core.QuickScale()
-	}
-
 	if *runCampaign {
 		// Every campaign flag is validated here, before any simulation
-		// starts: a typo in -campaign-format or -campaign-stop-after
-		// must fail in milliseconds, not after minutes of exploration.
+		// starts and before -o is created: a typo in -campaign-format or
+		// -campaign-scenes must fail in milliseconds, not after minutes
+		// of exploration, and must leave an existing report untouched.
 		writeReport, err := campaignWriter(*campFormat)
 		if err != nil {
 			fatal(err)
@@ -82,62 +49,27 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// The disk cache defaults on alongside checkpointing: the two
-		// cooperate (workers sharing a checkpoint also share renders) and
-		// both live under the same durable directory. "off" opts out.
-		seqCacheDir := *campSeqCache
-		switch {
-		case seqCacheDir == "off":
-			seqCacheDir = ""
-		case seqCacheDir == "" && *campCheckpoint != "":
-			seqCacheDir = filepath.Join(*campCheckpoint, "seqcache")
-		}
-		// Same policy for the evaluation store, with the contradictory
-		// combinations ("off" plus a size bound, a relative path with
-		// nothing to anchor it) rejected here — before any simulation.
-		evalCacheDir, err := campaign.ResolveEvalCacheDir(*campEvalCache, *campCheckpoint, *campEvalMB)
+		spec.Normalize()
+		opts, err := spec.Options()
 		if err != nil {
 			fatal(err)
 		}
-		opts := campaign.Options{
-			RandomSamples:       *random,
-			ActiveIterations:    *active,
-			BatchPerIteration:   *batch,
-			Seed:                *seed,
-			Workers:             *workers,
-			FidelityStride:      *mfStride,
-			PromoteFraction:     *mfPromote,
-			CellStride:          *campCellStride,
-			CellPromoteFraction: *campCellProm,
-			CheckpointDir:       *campCheckpoint,
-			Resume:              *campResume,
-			WorkerID:            *campWorkerID,
-			LeaseTTL:            *campLeaseTTL,
-			SeqCacheDir:         seqCacheDir,
-			SeqCacheMaxBytes:    *campSeqCacheMB << 20,
-			EvalCacheDir:        evalCacheDir,
-			EvalCacheMaxBytes:   *campEvalMB << 20,
-			CacheStats:          *campCacheStats,
-			StopAfter:           stopAfter,
-			Transfer:            *campTransfer,
-			TransferSeeds:       *campTransSeeds,
-			Knowledge:           *campKnowledge,
-			Log:                 eprint,
+		if *campStore != "" {
+			opts.CheckpointDir = *campStore
+			opts.UseCacheRoot(*campStore)
 		}
-		if *quick {
-			opts.AccuracyLimit = 0.08
-		}
-		if *campScenes == "" {
-			opts.Scenarios = campaign.Scenarios(scale)
-		} else if opts.Scenarios, err = campaign.SelectScenarios(scale, splitList(*campScenes)); err != nil {
-			fatal(err)
-		}
-		if opts.Targets, err = campaign.ResolveTargets(*seed, splitList(*campDevices)); err != nil {
-			fatal(err)
-		}
+		opts.CacheMaxBytes = *campStoreMB << 20
+		opts.Resume = *campResume
+		opts.WorkerID = *campWorkerID
+		opts.LeaseTTL = *campLeaseTTL
+		opts.CacheStats = *campCacheStats
+		opts.StopAfter = stopAfter
+		opts.Log = eprint
 		if err := opts.Validate(); err != nil {
 			fatal(err)
 		}
+		w := create(*out)
+		defer w.Close()
 		eprint(fmt.Sprintf("campaign: %d scenarios × %d devices", len(opts.Scenarios), len(opts.Targets)))
 		start := time.Now()
 		res, err := campaign.Run(opts)
@@ -147,7 +79,7 @@ func main() {
 		if res.StoppedAfter != "" {
 			msg := fmt.Sprintf("campaign stopped after the %s stage in %s",
 				res.StoppedAfter, time.Since(start).Round(time.Second))
-			if *campCheckpoint != "" {
+			if *campStore != "" {
 				msg += "; rerun with -campaign-resume to continue"
 			}
 			eprint(msg)
@@ -157,7 +89,10 @@ func main() {
 		if err := writeReport(w, rep); err != nil {
 			fatal(err)
 		}
-		if *campCheckpoint != "" || seqCacheDir != "" || evalCacheDir != "" {
+		if err := w.Close(); err != nil {
+			fatal(err)
+		}
+		if *campStore != "" {
 			// Execution provenance (which cells were resumed, at which
 			// fidelity, what the caches served) goes to stderr so the
 			// report on stdout/-o stays byte-comparable between fresh,
@@ -171,10 +106,15 @@ func main() {
 		return
 	}
 
+	w := create(*out)
+	scale := core.DefaultScale()
+	if spec.Quick {
+		scale = core.QuickScale()
+	}
 	start := time.Now()
 	fmt.Fprintf(w, "# EXPERIMENTS — measured vs paper\n\n")
 	fmt.Fprintf(w, "Generated by `go run ./cmd/experiments%s` (seed %d).\n\n",
-		map[bool]string{true: " -quick", false: ""}[*quick], *seed)
+		map[bool]string{true: " -quick", false: ""}[spec.Quick], spec.Seed)
 	fmt.Fprintf(w, "Workload: lr_kt%d analogue, %d×%d, %d frames, Kinect noise=%v; ",
 		scale.KT, scale.Width, scale.Height, scale.Frames, scale.Noisy)
 	fmt.Fprintf(w, "execution target: simulated ODROID-XU3 (see DESIGN.md for the substitution rationale).\n\n")
@@ -201,14 +141,14 @@ func main() {
 	eprint("E2+E3 (Fig 2): design-space exploration")
 	opts := core.DefaultFig2Options()
 	opts.Scale = scale
-	opts.RandomSamples = *random
-	opts.ActiveIterations = *active
-	opts.BatchPerIteration = *batch
-	opts.Seed = *seed
-	opts.Workers = *workers
-	opts.FidelityStride = *mfStride
-	opts.PromoteFraction = *mfPromote
-	if *quick {
+	opts.RandomSamples = spec.RandomSamples
+	opts.ActiveIterations = spec.ActiveIterations
+	opts.BatchPerIteration = spec.BatchPerIteration
+	opts.Seed = spec.Seed
+	opts.Workers = spec.Workers
+	opts.FidelityStride = spec.FidelityStride
+	opts.PromoteFraction = spec.PromoteFraction
+	if spec.Quick {
 		opts.AccuracyLimit = 0.08
 	}
 	fig2, err := core.RunFig2(opts)
@@ -339,6 +279,9 @@ func main() {
 		odo.ATE.RMSE, kf.ATE.RMSE, check(odo.ATE.RMSE >= kf.ATE.RMSE))
 
 	fmt.Fprintf(w, "---\nTotal generation time: %s.\n", time.Since(start).Round(time.Second))
+	if err := w.Close(); err != nil {
+		fatal(err)
+	}
 	eprint("done")
 }
 
@@ -371,15 +314,18 @@ func campaignWriter(format string) (func(io.Writer, *slambench.CampaignReport) e
 	return nil, fmt.Errorf("unknown campaign format %q (want table, csv or json)", format)
 }
 
-// splitList parses a comma-separated flag into trimmed non-empty names.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
+// create opens the report destination: -o when set, stdout otherwise.
+// Callers create it only once every flag has been validated, so a
+// rejected run never truncates an existing report.
+func create(path string) *os.File {
+	if path == "" {
+		return os.Stdout
 	}
-	return out
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	return f
 }
 
 func bars(n int) string {

@@ -98,12 +98,14 @@
 // minimum worst-case per-cell rank, then rank sum — which quantifies
 // the paper's "one configuration does not fit all scenes" point.
 //
-// With -campaign-checkpoint the artifacts persist: one versioned JSON
-// file per cell per stage (campaign.Store, the JSON-envelope codec over
-// the shared store described below), named by the stage kind,
-// the grid index and a content hash of the cell spec + seed + the
-// options that determine the artifact's bytes. A killed campaign
-// rerun with -campaign-resume loads completed cells instead of
+// With -campaign-store the artifacts persist: one versioned JSON file
+// per cell per stage in the store root (campaign.Store, the
+// JSON-envelope codec over the shared store described below), which
+// also holds the rendered-sequence cache in <root>/seqcache and the
+// evaluation store in <root>/evalcache. Artifacts are named by the
+// stage kind, the grid index and a content hash of the cell spec, the
+// seed and the options that determine the artifact's bytes. A killed
+// campaign rerun with -campaign-resume loads completed cells instead of
 // re-simulating them (a changed option hashes differently and simply
 // misses the stale artifact; a format change bumps the store version
 // and orphans everything). Worker count is excluded from the hash —
@@ -118,30 +120,30 @@
 //
 // The checkpoint store doubles as a coordination substrate for
 // multi-process campaigns. With -campaign-worker-id, N processes (or
-// machines over a shared filesystem) pointing at one
-// -campaign-checkpoint directory execute a single campaign's grid
-// cooperatively: a worker claims a cell by atomically creating the
-// artifact's .lease sibling (a complete record hard-linked into place,
-// carrying its id and a heartbeat it renews while computing), re-checks
-// the store once it holds the lease (a peer may have just published),
-// peers waiting on a claimed cell poll with deterministic backoff
-// until the artifact appears, and a lease whose heartbeat exceeds
-// -campaign-lease-ttl is reclaimed — so any worker can be SIGKILLed at
-// any instant without losing the campaign. Leases are a work-distribution optimisation, never a
-// correctness mechanism: artifact names are content hashes, every
-// writer of a name produces identical bytes, and writes are atomic
-// (temp file + rename), so a takeover racing a slow-but-alive holder
-// just computes the cell twice and the last rename wins. Store I/O is
-// wrapped in bounded retry-with-backoff (transient ENOSPC/EIO cost
-// milliseconds, not a crash), a Load distinguishes a miss — absent,
-// torn or corrupt artifact, safe to recompute — from a real I/O fault
-// that must surface, and a cell whose exploration panics is
+// machines over a shared filesystem) pointing at one -campaign-store
+// root execute a single campaign's grid cooperatively: a worker claims
+// a cell by atomically creating the artifact's .lease sibling (a
+// complete record hard-linked into place, carrying its id and a
+// heartbeat it renews while computing), re-checks the store once it
+// holds the lease (a peer may have just published), peers waiting on a
+// claimed cell poll with deterministic backoff until the artifact
+// appears, and a lease whose heartbeat exceeds -campaign-lease-ttl is
+// reclaimed — so any worker can be SIGKILLed at any instant without
+// losing the campaign. Leases are a work-distribution optimisation,
+// never a correctness mechanism: artifact names are content hashes,
+// every writer of a name produces identical bytes, and writes are
+// atomic (temp file + rename), so a takeover racing a slow-but-alive
+// holder just computes the cell twice and the last rename wins. Store
+// I/O is wrapped in bounded retry-with-backoff (transient ENOSPC/EIO
+// cost milliseconds, not a crash), a Load distinguishes a miss —
+// absent, torn or corrupt artifact, safe to recompute — from a real I/O
+// fault that must surface, and a cell whose exploration panics is
 // quarantined into a persisted failed artifact (a failed row in the
-// report; the campaign aggregates the survivors) instead of killing
-// the run. `make campaign-distributed-smoke` enforces the end-to-end
-// claim in CI: two worker processes share a store, one is SIGKILLed
-// mid-run, and the survivor's report must be byte-identical to an
-// uninterrupted single-process run.
+// report; the campaign aggregates the survivors) instead of killing the
+// run. `make campaign-distributed-smoke` enforces the end-to-end claim
+// in CI: two worker processes share a store, one is SIGKILLed mid-run,
+// and the survivor's report must be byte-identical to an uninterrupted
+// single-process run.
 //
 // # One store, three codecs
 //
@@ -194,18 +196,17 @@
 // sequence source) rides the stderr provenance table next to the
 // resume columns — the deterministic report surface never sees it.
 //
-// cmd/experiments exposes the cache as -campaign-seq-cache: it
-// defaults to <checkpoint>/seqcache whenever -campaign-checkpoint is
-// set (workers sharing a checkpoint automatically share renders),
-// "off" disables it, and without a directory the cache still
-// deduplicates renders in-process (cells sharing a scenario share one
-// immutable in-memory sequence). -campaign-seq-cache-max-mb bounds the
-// store with deterministic lexicographic eviction. Stale temp files
-// and orphaned leases are swept on open, as for every codec of the
-// shared store. `make campaign-cache-smoke` enforces the
-// end-to-end claim in CI: two processes share checkpoint + cache, one
-// is SIGKILLed and one artifact is corrupted in place mid-run, and the
-// survivor's report must still diff clean against an uncached run.
+// cmd/experiments keeps the cache in <root>/seqcache of the
+// -campaign-store root, so workers sharing a root share renders.
+// Without a store the cache still deduplicates renders in-process
+// (cells sharing a scenario share one immutable in-memory sequence).
+// -campaign-store-max-mb bounds it, and the evaluation store beside it,
+// with deterministic lexicographic eviction. Stale temp files and
+// orphaned leases are swept on open, as for every codec of the shared
+// store. `make campaign-cache-smoke` enforces the end-to-end claim in
+// CI: two processes share a store root, one is SIGKILLed and one
+// artifact is corrupted in place mid-run, and the survivor's report
+// must still diff clean against an uncached run.
 //
 // -campaign-cell-stride adds cell-level multi-fidelity, the intra-cell
 // ladder replayed at grid granularity: Explore first screens every
@@ -303,32 +304,36 @@
 // report. The default report surface stays byte-identical between
 // cached, uncached and any-worker-count runs.
 //
-// cmd/experiments exposes the store as -campaign-eval-cache: it
-// defaults to <checkpoint>/evalcache whenever -campaign-checkpoint is
-// set, "off" disables it, a relative path lives under the checkpoint
-// directory, and -campaign-eval-cache-max-mb bounds the store with
-// deterministic eviction (bounding a disabled store is a flag error,
-// caught before the campaign starts). `make campaign-evalcache-smoke`
-// enforces the claim end-to-end in CI: a warm re-run of a cold
-// campaign must simulate nothing while rendering a byte-identical
-// report, and a record corrupted in place must be silently repaired
-// by exactly one re-simulation.
+// cmd/experiments keeps the store in <root>/evalcache of the
+// -campaign-store root. campaign.Options.UseCacheRoot owns that layout,
+// and a dseserve data directory has the same one, so a CLI run pointed
+// at a server's data directory shares the server's results.
+// -campaign-store-max-mb bounds each cache of the root with
+// deterministic eviction; checkpoints are never evicted, and bounding a
+// run that has no store is a flag error, caught before the campaign
+// starts. `make campaign-evalcache-smoke` enforces the claim end-to-end
+// in CI: a warm re-run of a cold campaign must simulate nothing while
+// rendering a byte-identical report, and a record corrupted in place
+// must be silently repaired by exactly one re-simulation.
 //
 // # Campaign service
 //
 // cmd/dseserve is the long-running face of the engine: an HTTP
 // service (internal/serve) that runs campaigns as durable jobs.
-// POST /campaigns submits a JSON spec — normalized to the CLI's
-// defaults and validated by the same fail-fast Options.Validate path
-// before any simulation, then content-addressed (worker count
-// excluded) so resubmitting a spec joins the existing job instead of
-// starting a twin. GET /campaigns/{id} serves status and per-cell
-// progress, GET /campaigns/{id}/events streams stage/cell transitions
-// as SSE (an append-only frame log replays history to late
-// subscribers, then follows live), GET /campaigns/{id}/report serves
-// the table/CSV/JSON renderings of the slambench writers, POST
-// /campaigns/{id}/cancel stops a job cooperatively, and
-// /debug/pprof/* exposes the standard profiling surface.
+// POST /campaigns submits a JSON campaign.Spec, the same spec
+// cmd/experiments binds to its flags: Spec.Normalize fills the one set
+// of defaults both front-ends share (a zero field means the default, a
+// negative one is a 400), Spec.Options validates it by the same
+// fail-fast Options.Validate path before any simulation, and Spec.ID
+// content-addresses it (worker count excluded), so resubmitting a spec
+// joins the existing job instead of starting a twin. GET
+// /campaigns/{id} serves status and per-cell progress, GET
+// /campaigns/{id}/events streams stage/cell transitions as SSE (an
+// append-only frame log replays history to late subscribers, then
+// follows live), GET /campaigns/{id}/report serves the table/CSV/JSON
+// renderings of the slambench writers, POST /campaigns/{id}/cancel
+// stops a job cooperatively, and /debug/pprof/* exposes the standard
+// profiling surface.
 //
 // The shared-cache topology is the point: a bounded job pool runs
 // every campaign through the same staged runner as the CLI, with all

@@ -179,7 +179,8 @@ type Options struct {
 	Scenarios []Scenario
 	Targets   []device.Profile
 	// RandomSamples / ActiveIterations / BatchPerIteration configure
-	// each cell's exploration; zero values use the Fig2 defaults.
+	// each cell's exploration; zero values use the campaign defaults
+	// (20, 5 and 4, as for a Spec).
 	RandomSamples     int
 	ActiveIterations  int
 	BatchPerIteration int
@@ -270,10 +271,6 @@ type Options struct {
 	// either way. Empty keeps the cache in-process only (sequences are
 	// still rendered once per process and shared across cells).
 	SeqCacheDir string
-	// SeqCacheMaxBytes bounds the sequence cache's on-disk size (0 =
-	// unbounded); over-budget artifacts are evicted deterministically in
-	// lexicographic key order, newest write exempt.
-	SeqCacheMaxBytes int64
 	// EvalCacheDir, when non-empty, persists every simulation result
 	// into the content-addressed evaluation store of internal/evalstore
 	// shared across cells, stages, cooperating worker processes, resumed
@@ -284,11 +281,13 @@ type Options struct {
 	// lease — degrades gracefully to inline simulation: logged, counted
 	// in Result.EvalStats, never fatal, and the report is byte-identical
 	// either way. Empty keeps evaluation memoization in-process only.
+	// UseCacheRoot sets both cache directories from one store root.
 	EvalCacheDir string
-	// EvalCacheMaxBytes bounds the evaluation store's on-disk size (0 =
-	// unbounded); over-budget records are evicted deterministically in
-	// lexicographic key order, newest write exempt. Requires EvalCacheDir.
-	EvalCacheMaxBytes int64
+	// CacheMaxBytes bounds the on-disk size of the sequence cache and of
+	// the evaluation store, each (0 = unbounded): over-budget artifacts
+	// are evicted deterministically in lexicographic key order, newest
+	// write exempt. Checkpoints are never evicted.
+	CacheMaxBytes int64
 	// CacheStats adds the cache-counter summary (memo, evaluation store,
 	// sequence cache) to the JSON report under "caches". Off by default
 	// because the counters are execution provenance — a warm store turns
@@ -347,13 +346,13 @@ func (o *Options) applyDefaults() {
 		o.AccuracyLimit = 0.05
 	}
 	if o.RandomSamples <= 0 {
-		o.RandomSamples = 20
+		o.RandomSamples = defaultRandomSamples
 	}
 	if o.ActiveIterations <= 0 {
-		o.ActiveIterations = 5
+		o.ActiveIterations = defaultActiveIterations
 	}
 	if o.BatchPerIteration <= 0 {
-		o.BatchPerIteration = 4
+		o.BatchPerIteration = defaultBatchPerIteration
 	}
 	if o.MaxFrontCandidates <= 0 {
 		o.MaxFrontCandidates = 3
@@ -365,7 +364,7 @@ func (o *Options) applyDefaults() {
 		o.TransferSeeds = 3
 	}
 	if o.CellPromoteFraction <= 0 || o.CellPromoteFraction > 1 {
-		o.CellPromoteFraction = 0.5
+		o.CellPromoteFraction = defaultCellPromoteFraction
 	}
 	if o.WorkerID != "" {
 		// A cooperating worker must consume what its peers completed;
@@ -398,6 +397,10 @@ func (o Options) Validate() error {
 	if o.AccuracyLimit < 0 {
 		return fmt.Errorf("campaign: negative accuracy limit %g", o.AccuracyLimit)
 	}
+	if o.RandomSamples < 0 || o.ActiveIterations < 0 || o.BatchPerIteration < 0 || o.Workers < 0 {
+		return fmt.Errorf("campaign: negative budget or worker count (random %d, active %d, batch %d, workers %d)",
+			o.RandomSamples, o.ActiveIterations, o.BatchPerIteration, o.Workers)
+	}
 	if o.FidelityStride < 0 || o.CellStride < 0 {
 		return fmt.Errorf("campaign: negative fidelity stride")
 	}
@@ -425,49 +428,24 @@ func (o Options) Validate() error {
 	if o.LeaseTTL < 0 {
 		return fmt.Errorf("campaign: negative lease TTL %v", o.LeaseTTL)
 	}
-	if o.EvalCacheMaxBytes < 0 {
-		return fmt.Errorf("campaign: negative eval cache size %d", o.EvalCacheMaxBytes)
+	if o.CacheMaxBytes < 0 {
+		return fmt.Errorf("campaign: negative cache size %d", o.CacheMaxBytes)
 	}
-	if o.EvalCacheMaxBytes > 0 && o.EvalCacheDir == "" {
-		return errors.New("campaign: EvalCacheMaxBytes without EvalCacheDir bounds nothing")
+	if o.CacheMaxBytes > 0 && o.SeqCacheDir == "" && o.EvalCacheDir == "" {
+		return errors.New("campaign: a cache size bound without a cache directory bounds nothing")
 	}
 	return nil
 }
 
-// ResolveEvalCacheDir maps the -campaign-eval-cache flag (and its size
-// companion) onto Options.EvalCacheDir, failing fast — before any
-// simulation — on contradictory combinations. The cache defaults on
-// alongside checkpointing ("" with a checkpoint directory becomes
-// <checkpoint>/evalcache), "off" disables it entirely, a relative path
-// is anchored under the checkpoint directory (so cooperating workers
-// sharing a checkpoint share the store without repeating an absolute
-// path), and an absolute path stands alone.
-func ResolveEvalCacheDir(flagVal, checkpointDir string, maxMB int64) (string, error) {
-	if maxMB < 0 {
-		return "", fmt.Errorf("campaign: negative eval cache bound %d MiB", maxMB)
-	}
-	switch {
-	case flagVal == "off":
-		if maxMB > 0 {
-			return "", errors.New("campaign: -campaign-eval-cache-max-mb with -campaign-eval-cache=off bounds a cache that does not exist")
-		}
-		return "", nil
-	case flagVal == "":
-		if checkpointDir != "" {
-			return filepath.Join(checkpointDir, "evalcache"), nil
-		}
-		if maxMB > 0 {
-			return "", errors.New("campaign: -campaign-eval-cache-max-mb without an eval cache (set -campaign-eval-cache or -campaign-checkpoint)")
-		}
-		return "", nil
-	case !filepath.IsAbs(flagVal):
-		if checkpointDir == "" {
-			return "", fmt.Errorf("campaign: relative -campaign-eval-cache %q needs -campaign-checkpoint to anchor it (or use an absolute path)", flagVal)
-		}
-		return filepath.Join(checkpointDir, flagVal), nil
-	default:
-		return flagVal, nil
-	}
+// UseCacheRoot points the sequence cache and the evaluation store at
+// their fixed subdirectories of a store root: <root>/seqcache and
+// <root>/evalcache. It is the layout of a cmd/experiments
+// -campaign-store root, whose checkpoints sit in the root itself, and
+// of a cmd/dseserve data directory, whose jobs keep their checkpoints
+// apart under jobs/<id>/store.
+func (o *Options) UseCacheRoot(root string) {
+	o.SeqCacheDir = filepath.Join(root, "seqcache")
+	o.EvalCacheDir = filepath.Join(root, "evalcache")
 }
 
 // CellResult is one cell's exploration outcome.

@@ -136,6 +136,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative promote fraction", func(o *Options) { o.PromoteFraction = -0.5 }},
 		{"negative cell stride", func(o *Options) { o.CellStride = -2 }},
 		{"negative accuracy limit", func(o *Options) { o.AccuracyLimit = -1 }},
+		{"negative random samples", func(o *Options) { o.RandomSamples = -1 }},
+		{"negative active iterations", func(o *Options) { o.ActiveIterations = -1 }},
+		{"negative batch", func(o *Options) { o.BatchPerIteration = -1 }},
+		{"negative workers", func(o *Options) { o.Workers = -1 }},
 	}
 	for _, c := range cases {
 		bad := ok

@@ -419,59 +419,32 @@ func TestEvalCacheFaultMatrix(t *testing.T) {
 	})
 }
 
-// TestResolveEvalCacheDir covers the CLI flag resolution — defaults,
-// opt-out, anchoring — and its fail-fast rejections (satellite of the
-// flag-validation policy: contradictions die before any simulation).
-func TestResolveEvalCacheDir(t *testing.T) {
-	ok := []struct {
-		flag, ckpt string
-		maxMB      int64
-		want       string
-	}{
-		{"", "", 0, ""},                          // no cache anywhere
-		{"off", "", 0, ""},                       // explicit opt-out
-		{"off", "/ckpt", 0, ""},                  // opt-out beats the checkpoint default
-		{"", "/ckpt", 0, "/ckpt/evalcache"},      // defaults on alongside checkpointing
-		{"", "/ckpt", 64, "/ckpt/evalcache"},     // bound applies to the default store
-		{"store", "/ckpt", 0, "/ckpt/store"},     // relative path anchored under the checkpoint
-		{"/abs/store", "", 128, "/abs/store"},    // absolute path stands alone
-		{"/abs/store", "/ckpt", 0, "/abs/store"}, // absolute path ignores the checkpoint
+// TestCacheRootLayout pins the store-root layout: -campaign-store
+// roots and dseserve data directories written by earlier builds keep
+// their caches in exactly these subdirectories.
+func TestCacheRootLayout(t *testing.T) {
+	root := filepath.Join("data", "root")
+	var opts Options
+	opts.UseCacheRoot(root)
+	if opts.SeqCacheDir != filepath.Join(root, "seqcache") || opts.EvalCacheDir != filepath.Join(root, "evalcache") {
+		t.Fatalf("cache layout under %s: seq %s, eval %s", root, opts.SeqCacheDir, opts.EvalCacheDir)
 	}
-	for _, c := range ok {
-		got, err := ResolveEvalCacheDir(c.flag, c.ckpt, c.maxMB)
-		if err != nil || got != c.want {
-			t.Fatalf("ResolveEvalCacheDir(%q, %q, %d) = %q, %v; want %q",
-				c.flag, c.ckpt, c.maxMB, got, err, c.want)
-		}
-	}
-	bad := []struct {
-		name, flag, ckpt string
-		maxMB            int64
-	}{
-		{"size bound on a disabled cache", "off", "", 64},
-		{"size bound on a disabled cache with checkpoint", "off", "/ckpt", 64},
-		{"size bound with no cache to bound", "", "", 64},
-		{"relative path with nothing to anchor it", "store", "", 0},
-		{"negative size bound", "/abs/store", "", -1},
-	}
-	for _, c := range bad {
-		if _, err := ResolveEvalCacheDir(c.flag, c.ckpt, c.maxMB); err == nil {
-			t.Fatalf("%s: ResolveEvalCacheDir(%q, %q, %d) accepted", c.name, c.flag, c.ckpt, c.maxMB)
-		}
+	if opts.CheckpointDir != "" {
+		t.Fatalf("UseCacheRoot set the checkpoint directory %q", opts.CheckpointDir)
 	}
 }
 
 // TestValidateEvalCacheOptions covers the engine-level rejections.
 func TestValidateEvalCacheOptions(t *testing.T) {
 	opts := resumeOptions(1, "")
-	opts.EvalCacheMaxBytes = -1
+	opts.CacheMaxBytes = -1
 	if err := opts.Validate(); err == nil {
-		t.Fatal("negative EvalCacheMaxBytes accepted")
+		t.Fatal("negative CacheMaxBytes accepted")
 	}
 	opts = resumeOptions(1, "")
-	opts.EvalCacheMaxBytes = 1 << 20
+	opts.CacheMaxBytes = 1 << 20
 	if err := opts.Validate(); err == nil {
-		t.Fatal("EvalCacheMaxBytes without EvalCacheDir accepted")
+		t.Fatal("CacheMaxBytes without a cache directory accepted")
 	}
 	opts.EvalCacheDir = t.TempDir()
 	if err := opts.Validate(); err != nil {
@@ -490,7 +463,7 @@ func TestEvalCacheBounded(t *testing.T) {
 	dir := t.TempDir()
 	opts := resumeOptions(1, "")
 	opts.EvalCacheDir = dir
-	opts.EvalCacheMaxBytes = 512 // a handful of ~150-byte records
+	opts.CacheMaxBytes = 512 // a handful of ~150-byte records
 	res, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -507,8 +480,8 @@ func TestEvalCacheBounded(t *testing.T) {
 			total += info.Size()
 		}
 	}
-	if total > opts.EvalCacheMaxBytes {
-		t.Fatalf("store holds %d bytes, budget %d", total, opts.EvalCacheMaxBytes)
+	if total > opts.CacheMaxBytes {
+		t.Fatalf("store holds %d bytes, budget %d", total, opts.CacheMaxBytes)
 	}
 	noEvalDebris(t, dir)
 }

@@ -236,7 +236,7 @@ func newRunner(opts Options) (*runner, error) {
 		Dir:      opts.SeqCacheDir,
 		Worker:   r.workerLabel(),
 		LeaseTTL: opts.LeaseTTL,
-		MaxBytes: opts.SeqCacheMaxBytes,
+		MaxBytes: opts.CacheMaxBytes,
 		Log:      func(format string, args ...any) { r.logf(format, args...) },
 		Sleep:    opts.sleepFn,
 		Now:      opts.nowFn,
@@ -254,7 +254,7 @@ func newRunner(opts Options) (*runner, error) {
 			Dir:      opts.EvalCacheDir,
 			Worker:   r.workerLabel(),
 			LeaseTTL: opts.LeaseTTL,
-			MaxBytes: opts.EvalCacheMaxBytes,
+			MaxBytes: opts.CacheMaxBytes,
 			Log:      func(format string, args ...any) { r.logf(format, args...) },
 			Sleep:    opts.sleepFn,
 			Now:      opts.nowFn,

@@ -263,16 +263,15 @@ func (j *Job) requestCancel() {
 	j.cancelOnce.Do(func() { close(j.cancel) })
 }
 
-// Manager owns the job set: the bounded runner pool, the shared
-// evaluation store and sequence cache directories every job points at,
-// and the boot-time resume scan. One Manager serves one data
-// directory; a process restart with the same directory picks every
-// interrupted job back up from its checkpoint store.
+// Manager owns the job set: the bounded runner pool, the data
+// directory whose shared evaluation store and sequence cache every job
+// points at (campaign.Options.UseCacheRoot), and the boot-time resume
+// scan. One Manager serves one data directory; a process restart with
+// the same directory picks every interrupted job back up from its
+// checkpoint store.
 type Manager struct {
 	dataDir string
 	jobsDir string
-	evalDir string
-	seqDir  string
 	slots   chan struct{}
 	logf    func(format string, args ...any)
 
@@ -296,8 +295,6 @@ func NewManager(dataDir string, maxConcurrent int, logf func(format string, args
 	m := &Manager{
 		dataDir: dataDir,
 		jobsDir: filepath.Join(dataDir, "jobs"),
-		evalDir: filepath.Join(dataDir, "evalcache"),
-		seqDir:  filepath.Join(dataDir, "seqcache"),
 		slots:   make(chan struct{}, maxConcurrent),
 		logf:    logf,
 		jobs:    make(map[string]*Job),
@@ -474,8 +471,7 @@ func (m *Manager) run(j *Job) {
 	opts.CheckpointDir = filepath.Join(j.dir, storeDir)
 	opts.Resume = true
 	opts.WorkerID = "dseserve"
-	opts.EvalCacheDir = m.evalDir
-	opts.SeqCacheDir = m.seqDir
+	opts.UseCacheRoot(m.dataDir)
 	opts.Cancel = j.cancel
 	opts.OnProgress = j.observe
 	opts.Log = func(msg string) { m.logf("job %s: %s", j.id, msg) }

@@ -34,8 +34,8 @@ func TestRouterMatch(t *testing.T) {
 		{"GET", "/debug/pprof/", 200, ""},
 		{"GET", "/debug/pprof/heap", 200, "heap"},
 		{"GET", "/debug/pprof/goroutine", 200, "goroutine"},
-		{"GET", "/campaigns/abc/123/report", 404, ""},   // param may not span segments
-		{"GET", "/campaigns//report", 404, ""},          // empty param never matches
+		{"GET", "/campaigns/abc/123/report", 404, ""}, // param may not span segments
+		{"GET", "/campaigns//report", 404, ""},        // empty param never matches
 		{"DELETE", "/campaigns/abc123", 405, ""},
 		{"GET", "/campaigns", 405, ""},
 		{"POST", "/healthz", 405, ""},

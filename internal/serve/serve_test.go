@@ -552,6 +552,11 @@ func TestMalformedSubmissionsRejectedBeforeAnySimulation(t *testing.T) {
 		`{"promote_fraction":1.5}`,
 		`{"scenarios":["lr_kt0","lr_kt0"]}`,
 		`{"quick":true}{"quick":true}`,
+		// Zero means the default; no negative value encodes a true zero.
+		`{"active_iterations":-1}`,
+		`{"promote_fraction":-1}`,
+		`{"cell_promote_fraction":-1}`,
+		`{"transfer_seeds":-1,"transfer":true}`,
 	}
 	for _, body := range bad {
 		rec := get(srv, http.MethodPost, "/campaigns", strings.NewReader(body))

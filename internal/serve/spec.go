@@ -1,171 +1,11 @@
 package serve
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
+import "slamgo/internal/campaign"
 
-	"slamgo/internal/campaign"
-	"slamgo/internal/core"
-)
-
-// CampaignSpec is the wire form of a campaign submission. Fields mirror
-// the cmd/experiments campaign flags one-for-one, and Normalize fills
-// the same defaults the CLI flags declare, so a spec submitted over
-// HTTP resolves to exactly the options a CLI invocation with the same
-// values would build — the foundation of the served-report /
-// CLI-report byte-identity guarantee.
-//
-// Zero-valued numeric fields take the CLI default (seed 1, 20 random
-// samples, 5 active iterations, batch 4, promote fractions 0.25/0.5);
-// pass -1 to request a true zero where that is meaningful
-// (active_iterations, fidelity strides, transfer seeds).
-type CampaignSpec struct {
-	// Scenarios and Devices name the campaign grid (empty = the CLI
-	// defaults: all six scenarios × odroid-xu3,pixel-adreno530).
-	Scenarios []string `json:"scenarios,omitempty"`
-	Devices   []string `json:"devices,omitempty"`
-	// Quick selects the reduced workload scale (and the CLI's matching
-	// 0.08 accuracy limit).
-	Quick bool `json:"quick,omitempty"`
-	// Seed is the experiment seed (0 = CLI default 1).
-	Seed int64 `json:"seed,omitempty"`
-	// Exploration budget per cell.
-	RandomSamples     int `json:"random_samples,omitempty"`
-	ActiveIterations  int `json:"active_iterations,omitempty"`
-	BatchPerIteration int `json:"batch_per_iteration,omitempty"`
-	// Workers is the parallel evaluation worker count (0 = all CPUs).
-	// Reports are bit-identical for any value, so Workers is excluded
-	// from the job identity: resubmitting a spec with a different
-	// worker count joins the existing job.
-	Workers int `json:"workers,omitempty"`
-	// Intra-cell multi-fidelity ladder.
-	FidelityStride  int     `json:"fidelity_stride,omitempty"`
-	PromoteFraction float64 `json:"promote_fraction,omitempty"`
-	// Cell-level multi-fidelity ladder.
-	CellStride          int     `json:"cell_stride,omitempty"`
-	CellPromoteFraction float64 `json:"cell_promote_fraction,omitempty"`
-	// Cross-cell transfer learning.
-	Transfer      bool `json:"transfer,omitempty"`
-	TransferSeeds int  `json:"transfer_seeds,omitempty"`
-	// Knowledge adds per-cell decision rules to the JSON report.
-	Knowledge bool `json:"knowledge,omitempty"`
-}
-
-// defaultDevices is the cmd/experiments -campaign-devices default.
-var defaultDevices = []string{"odroid-xu3", "pixel-adreno530"}
-
-// defaultScenarioNames enumerates the full scenario registry (the CLI
-// runs all six when -campaign-scenes is empty). Names are
-// scale-independent.
-func defaultScenarioNames() []string {
-	all := campaign.Scenarios(core.QuickScale())
-	names := make([]string, len(all))
-	for i, s := range all {
-		names[i] = s.Name
-	}
-	return names
-}
-
-// norm maps the wire encoding of an optional numeric field onto its
-// resolved value: 0 means the CLI default, -1 means a true zero.
-func norm(v, def int) int {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
-}
-
-// Normalize fills CLI-default values in place, making specs canonical:
-// two submissions describing the same campaign normalize to identical
-// structs and therefore identical job IDs.
-func (s *CampaignSpec) Normalize() {
-	if len(s.Scenarios) == 0 {
-		s.Scenarios = defaultScenarioNames()
-	}
-	if len(s.Devices) == 0 {
-		s.Devices = append([]string(nil), defaultDevices...)
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	s.RandomSamples = norm(s.RandomSamples, 20)
-	s.ActiveIterations = norm(s.ActiveIterations, 5)
-	s.BatchPerIteration = norm(s.BatchPerIteration, 4)
-	if s.Workers < 0 {
-		s.Workers = 0
-	}
-	s.FidelityStride = norm(s.FidelityStride, 0)
-	if s.PromoteFraction == 0 {
-		s.PromoteFraction = 0.25
-	} else if s.PromoteFraction < 0 {
-		s.PromoteFraction = 0
-	}
-	s.CellStride = norm(s.CellStride, 0)
-	if s.CellPromoteFraction == 0 {
-		s.CellPromoteFraction = 0.5
-	} else if s.CellPromoteFraction < 0 {
-		s.CellPromoteFraction = 0
-	}
-	s.TransferSeeds = norm(s.TransferSeeds, 0)
-}
-
-// ID derives the job identity: the first 16 hex digits of the SHA-256
-// of the normalized spec's canonical JSON, with Workers zeroed first —
-// worker count never changes campaign results (the determinism
-// invariant), so it must not change job identity either.
-func (s CampaignSpec) ID() string {
-	s.Workers = 0
-	b, err := json.Marshal(s)
-	if err != nil {
-		// A CampaignSpec is plain data; Marshal cannot fail.
-		panic(fmt.Sprintf("serve: marshal spec: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
-}
-
-// Options resolves the (normalized) spec into validated campaign
-// options, mirroring the cmd/experiments flag mapping exactly. The
-// returned options carry no execution plumbing — the job manager adds
-// checkpoint directory, caches, cancellation and progress hooks.
-// Every validation failure surfaces here, before any job directory is
-// created or any simulation runs.
-func (s CampaignSpec) Options() (campaign.Options, error) {
-	scale := core.DefaultScale()
-	if s.Quick {
-		scale = core.QuickScale()
-	}
-	opts := campaign.Options{
-		RandomSamples:       s.RandomSamples,
-		ActiveIterations:    s.ActiveIterations,
-		BatchPerIteration:   s.BatchPerIteration,
-		Seed:                s.Seed,
-		Workers:             s.Workers,
-		FidelityStride:      s.FidelityStride,
-		PromoteFraction:     s.PromoteFraction,
-		CellStride:          s.CellStride,
-		CellPromoteFraction: s.CellPromoteFraction,
-		Transfer:            s.Transfer,
-		TransferSeeds:       s.TransferSeeds,
-		Knowledge:           s.Knowledge,
-	}
-	if s.Quick {
-		opts.AccuracyLimit = 0.08
-	}
-	var err error
-	if opts.Scenarios, err = campaign.SelectScenarios(scale, s.Scenarios); err != nil {
-		return campaign.Options{}, err
-	}
-	if opts.Targets, err = campaign.ResolveTargets(s.Seed, s.Devices); err != nil {
-		return campaign.Options{}, err
-	}
-	if err := opts.Validate(); err != nil {
-		return campaign.Options{}, err
-	}
-	return opts, nil
-}
+// CampaignSpec is the wire form of a campaign submission: the JSON body
+// of POST /campaigns decodes into a campaign.Spec, the same spec
+// cmd/experiments binds to its flags. Submit normalizes and resolves it
+// through the spec's own Normalize and Options, and the job ID is its
+// ID, so a served report is byte-identical to the CLI's for the same
+// campaign.
+type CampaignSpec = campaign.Spec

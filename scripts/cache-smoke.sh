@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Rendered-sequence-cache smoke test: two OS processes cooperate on one
-# campaign through a shared checkpoint directory AND the shared
-# content-addressed sequence cache underneath it; one process is
-# SIGKILLed mid-run and one cache artifact is corrupted in place while
-# the campaign is live. The survivor must still finish with a report
-# byte-identical to an uncached single-process run — corruption is a
-# silent re-render, the dead renderer's sequence lease is reclaimed, and
-# no temp or lease files may be left behind. In-process tests cover the
-# same invariants under -race; this script covers real processes, a real
-# kill and real on-disk damage.
+# campaign through a shared store root, its checkpoints AND the shared
+# content-addressed sequence cache in its seqcache subdirectory; one
+# process is SIGKILLed mid-run and one cache artifact is corrupted in
+# place while the campaign is live. The survivor must still finish with
+# a report byte-identical to an uncached single-process run — corruption
+# is a silent re-render, the dead renderer's sequence lease is
+# reclaimed, and no temp or lease files may be left behind. In-process
+# tests cover the same invariants under -race; this script covers real
+# processes, a real kill and real on-disk damage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,19 +27,20 @@ trap 'rm -rf "$DIR"' EXIT
 
 go build -o "$BIN" ./cmd/experiments
 
-# Reference: uninterrupted single-process run, no checkpoints, no cache.
-"$BIN" "${FLAGS[@]}" -campaign-seq-cache off -o "$DIR/reference.txt" 2>/dev/null
+# Reference: uninterrupted single-process run with no store, so no
+# checkpoints and no disk cache.
+"$BIN" "${FLAGS[@]}" -o "$DIR/reference.txt" 2>/dev/null
 
-# Two cooperating workers share the checkpoint and (by default) the
-# rendered-sequence cache at <checkpoint>/seqcache, with a short lease
-# TTL so the survivor reclaims the victim's cell and sequence leases
-# quickly after the kill.
+# Two cooperating workers share the store root: its checkpoints and the
+# rendered-sequence cache at <root>/seqcache, with a short lease TTL so
+# the survivor reclaims the victim's cell and sequence leases quickly
+# after the kill.
 "$BIN" "${FLAGS[@]}" \
-  -campaign-checkpoint "$DIR/store" -campaign-worker-id victim \
+  -campaign-store "$DIR/store" -campaign-worker-id victim \
   -campaign-lease-ttl 2s -o "$DIR/victim.txt" 2>"$DIR/victim.log" &
 VICTIM=$!
 "$BIN" "${FLAGS[@]}" \
-  -campaign-checkpoint "$DIR/store" -campaign-worker-id survivor \
+  -campaign-store "$DIR/store" -campaign-worker-id survivor \
   -campaign-lease-ttl 2s -o "$DIR/survivor.txt" 2>"$DIR/survivor.log" &
 SURVIVOR=$!
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Distributed-campaign smoke test: two OS processes share one checkpoint
-# directory as cooperating workers, one of them is SIGKILLed mid-run,
-# and the survivor (plus the takeover protocol) must still finish the
+# Distributed-campaign smoke test: two OS processes share one store root
+# as cooperating workers, one of them is SIGKILLed mid-run, and the
+# survivor (plus the takeover protocol) must still finish the
 # campaign with a report byte-identical to an uninterrupted
 # single-process run. This is the end-to-end proof of the worker-lease
 # protocol: in-process tests cover the same invariants under -race, this
@@ -23,17 +23,17 @@ trap 'rm -rf "$DIR"' EXIT
 
 go build -o "$BIN" ./cmd/experiments
 
-# Reference: uninterrupted single-process run, no checkpoints.
+# Reference: uninterrupted single-process run, no store.
 "$BIN" "${FLAGS[@]}" -o "$DIR/reference.txt" 2>/dev/null
 
 # Two cooperating workers, short lease TTL so the survivor reclaims the
 # victim's cells quickly after the kill.
 "$BIN" "${FLAGS[@]}" \
-  -campaign-checkpoint "$DIR/store" -campaign-worker-id victim \
+  -campaign-store "$DIR/store" -campaign-worker-id victim \
   -campaign-lease-ttl 2s -o "$DIR/victim.txt" 2>"$DIR/victim.log" &
 VICTIM=$!
 "$BIN" "${FLAGS[@]}" \
-  -campaign-checkpoint "$DIR/store" -campaign-worker-id survivor \
+  -campaign-store "$DIR/store" -campaign-worker-id survivor \
   -campaign-lease-ttl 2s -o "$DIR/survivor.txt" 2>"$DIR/survivor.log" &
 SURVIVOR=$!
 

@@ -12,7 +12,8 @@ cd "$(dirname "$0")/.."
 
 DIR=.campaign-evalcache-smoke
 BIN=$DIR/experiments
-CACHE="$PWD/$DIR/evalcache"
+STORE="$PWD/$DIR/store"
+CACHE=$DIR/store/evalcache
 FLAGS=(-campaign -quick
   -campaign-scenes lr_kt0,of_kt0
   -campaign-devices odroid-xu3,pixel-adreno530
@@ -29,8 +30,9 @@ go build -o "$BIN" ./cmd/experiments
 # reproduce byte for byte.
 "$BIN" "${FLAGS[@]}" -o "$DIR/reference.txt" 2>/dev/null
 
-# Cold run fills the store; the report must already be unchanged.
-"$BIN" "${FLAGS[@]}" -campaign-eval-cache "$CACHE" \
+# Cold run fills the store root, whose evaluation store is <root>/evalcache;
+# the report must already be unchanged.
+"$BIN" "${FLAGS[@]}" -campaign-store "$STORE" \
   -o "$DIR/cold.txt" 2>"$DIR/cold.log"
 diff "$DIR/reference.txt" "$DIR/cold.txt"
 grep -q 'evalstore: simulations=' "$DIR/cold.log" || {
@@ -51,7 +53,7 @@ fi
 echo "evalcache-smoke: cold run published $RECORDS records"
 
 # Warm re-run in a fresh process: zero simulations, identical report.
-"$BIN" "${FLAGS[@]}" -campaign-eval-cache "$CACHE" \
+"$BIN" "${FLAGS[@]}" -campaign-store "$STORE" \
   -o "$DIR/warm.txt" 2>"$DIR/warm.log"
 diff "$DIR/reference.txt" "$DIR/warm.txt"
 grep -q 'evalstore: simulations=0 ' "$DIR/warm.log" || {
@@ -69,7 +71,7 @@ VICTIM=$(find "$CACHE" -name '*.evr' | sort | sed -n 1p)
 printf 'CORRUPT!' | dd of="$VICTIM" bs=1 seek=16 conv=notrunc 2>/dev/null
 echo "evalcache-smoke: corrupted $(basename "$VICTIM")"
 
-"$BIN" "${FLAGS[@]}" -campaign-eval-cache "$CACHE" \
+"$BIN" "${FLAGS[@]}" -campaign-store "$STORE" \
   -o "$DIR/repair.txt" 2>"$DIR/repair.log"
 diff "$DIR/reference.txt" "$DIR/repair.txt"
 grep -Eq 'evalstore: simulations=1 disk-hits=[0-9]+ published=1 ' "$DIR/repair.log" || {
@@ -80,7 +82,7 @@ grep -Eq 'evalstore: simulations=1 disk-hits=[0-9]+ published=1 ' "$DIR/repair.l
 
 # The repair must have re-published a valid record: one more run, zero
 # simulations again.
-"$BIN" "${FLAGS[@]}" -campaign-eval-cache "$CACHE" \
+"$BIN" "${FLAGS[@]}" -campaign-store "$STORE" \
   -o "$DIR/verify.txt" 2>"$DIR/verify.log"
 diff "$DIR/reference.txt" "$DIR/verify.txt"
 grep -q 'evalstore: simulations=0 ' "$DIR/verify.log" || {

@@ -118,13 +118,13 @@ echo "serve-smoke phase A: served JSON report byte-identical to cmd/experiments"
 
 SPEC_B='{"quick":true,"scenarios":["lr_kt0","of_kt0"],"devices":["odroid-xu3"],"random_samples":6,"active_iterations":1,"batch_per_iteration":2}'
 
-# Cold CLI reference with its own evaluation store: the report the
-# resumed server must reproduce, and the total simulation count a cold
-# run needs (from the provenance on stderr).
+# Cold CLI reference with its own store root: the report the resumed
+# server must reproduce, and the total simulation count a cold run needs
+# (from the provenance on stderr).
 "$CLI" -campaign -quick \
   -campaign-scenes lr_kt0,of_kt0 -campaign-devices odroid-xu3 \
   -random 6 -active 1 -batch 2 \
-  -campaign-eval-cache "$PWD/$DIR/cli-evalcache" \
+  -campaign-store "$PWD/$DIR/cli-store" \
   -campaign-format json -o "$DIR/cli_b.json" 2>"$DIR/cli_b.log"
 TOTAL_SIMS=$(sed -n 's/.*evalstore: simulations=\([0-9]*\).*/\1/p' "$DIR/cli_b.log" | head -n1)
 if [ -z "$TOTAL_SIMS" ] || [ "$TOTAL_SIMS" -eq 0 ]; then
@@ -175,12 +175,13 @@ fi
 stop_server
 
 # Evalstore proof, part 2: the server's shared evaluation store now
-# covers the whole campaign — a warm CLI run against it simulates
-# nothing and still renders identical bytes.
+# covers the whole campaign. The server's data directory is a store
+# root (<data>/evalcache, <data>/seqcache), so a warm CLI run pointed at
+# it simulates nothing and still renders identical bytes.
 "$CLI" -campaign -quick \
   -campaign-scenes lr_kt0,of_kt0 -campaign-devices odroid-xu3 \
   -random 6 -active 1 -batch 2 \
-  -campaign-eval-cache "$PWD/$DATA/evalcache" \
+  -campaign-store "$PWD/$DATA" \
   -campaign-format json -o "$DIR/cli_warm.json" 2>"$DIR/cli_warm.log"
 WARM_SIMS=$(sed -n 's/.*evalstore: simulations=\([0-9]*\).*/\1/p' "$DIR/cli_warm.log" | head -n1)
 if [ "$WARM_SIMS" != "0" ]; then
