@@ -1,13 +1,13 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// ICP residual formulation, integration rate, mu/truncation width,
-// reconstruction accuracy measurement and the decision machine.
+// Ablation benchmarks for the pipeline's design choices: the ICP
+// residual formulation, reconstruction accuracy measurement, mesh
+// extraction and the decision machine. The integration-rate ablation's
+// outputs are pinned by internal/core's TestSimulationGolden.
 package slamgo_test
 
 import (
 	"testing"
 
 	"slamgo/internal/core"
-	"slamgo/internal/device"
 	"slamgo/internal/icp"
 	"slamgo/internal/imgproc"
 	"slamgo/internal/kfusion"
@@ -58,28 +58,6 @@ func BenchmarkAblation_ICP_PointToPlane(b *testing.B) { benchICPVariant(b, false
 // BenchmarkAblation_ICP_PointToPoint measures the classic residual (three
 // rows per correspondence; slower per iteration and slower to converge).
 func BenchmarkAblation_ICP_PointToPoint(b *testing.B) { benchICPVariant(b, true) }
-
-// benchIntegrationRate reports the simulated XU3 FPS of a configuration
-// as the integration rate is decimated.
-func benchIntegrationRate(b *testing.B, rate int) {
-	cfg := kfusion.DefaultConfig()
-	cfg.VolumeResolution = 128
-	cfg.IntegrationRate = rate
-	sum := runOnce(b, cfg, device.NewModel(device.OdroidXU3()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sum // the measurement is the setup run; report its metrics
-	}
-	b.ReportMetric(sum.SimFPS, "simFPS")
-	b.ReportMetric(sum.ATE.Max*1000, "maxATE_mm")
-}
-
-// BenchmarkAblation_IntegrationRate1 integrates every frame.
-func BenchmarkAblation_IntegrationRate1(b *testing.B) { benchIntegrationRate(b, 1) }
-
-// BenchmarkAblation_IntegrationRate4 integrates every 4th frame.
-func BenchmarkAblation_IntegrationRate4(b *testing.B) { benchIntegrationRate(b, 4) }
 
 // BenchmarkAblation_ReconstructionError measures comparing a mesh against
 // the analytic ground-truth scene.

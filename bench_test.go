@@ -1,5 +1,6 @@
 // Benchmarks regenerating every figure-level experiment of the paper.
-// One bench (or bench family) per experiment id from DESIGN.md:
+// One bench (or bench family) per experiment id, numbered as
+// cmd/experiments numbers them:
 //
 //	E1/Fig1   BenchmarkFig1_PipelineDefault, BenchmarkFig1_GUIPanes
 //	E2/Fig2L  BenchmarkFig2_Evaluate*, BenchmarkFig2_SurrogateFit,
@@ -138,6 +139,25 @@ func BenchmarkFig2_EvaluateDefault(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := core.Evaluate(seq, model, kfusion.DefaultConfig())
+		if m.Failed {
+			b.Fatal("default evaluation failed")
+		}
+	}
+}
+
+// BenchmarkFig2_EvaluateDefaultReused is EvaluateDefault through a
+// core.Simulator, the path campaigns and Fig. 2 explorations take: after
+// a warm-up simulation outside the timer, each simulation resets a
+// reused pipeline instead of allocating a 256³ volume.
+func BenchmarkFig2_EvaluateDefaultReused(b *testing.B) {
+	seq := sequence(b)
+	model := device.NewModel(device.OdroidXU3())
+	var sim core.Simulator
+	sim.Evaluate(seq, model, kfusion.DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := sim.Evaluate(seq, model, kfusion.DefaultConfig())
 		if m.Failed {
 			b.Fatal("default evaluation failed")
 		}
@@ -444,6 +464,30 @@ func BenchmarkKernel_Raycast(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := v.Raycast(f0.GroundTruth, in, 0.1, 0.1, 10)
+		if res.Vertices.ValidCount() == 0 {
+			b.Fatal("raycast found nothing")
+		}
+		res.Release()
+	}
+}
+
+// BenchmarkKernel_Raycast256 measures surface extraction from the stock
+// 256³ volume after it has fused every fourth frame of the sequence,
+// raycast from the last fused pose, as the pipeline does each frame.
+func BenchmarkKernel_Raycast256(b *testing.B) {
+	seq := sequence(b)
+	in := seq.Intrinsics()
+	v := tsdf.New(256, 5.6, math3.V3(-2.8, -1.5, -2.8))
+	var pose math3.SE3
+	for i := 0; i < seq.Len(); i += 4 {
+		f, _ := seq.Frame(i)
+		v.Integrate(f.Depth, f.GroundTruth, in, 0.1, 100)
+		pose = f.GroundTruth
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := v.Raycast(pose, in, 0.1, 0.1, 5.6*1.8)
 		if res.Vertices.ValidCount() == 0 {
 			b.Fatal("raycast found nothing")
 		}

@@ -1,8 +1,8 @@
 // Command experiments regenerates every experiment of the reproduction
-// (E1-E6 from DESIGN.md) and emits a Markdown report of measured results
-// next to the paper's claims — the generator behind EXPERIMENTS.md.
+// (E1-E6) and emits a Markdown report of measured results next to the
+// paper's claims.
 //
-//	go run ./cmd/experiments -o EXPERIMENTS.md           # full scale (~15 min)
+//	go run ./cmd/experiments -o report.md                # full scale (~15 min)
 //	go run ./cmd/experiments -quick -o /tmp/report.md    # reduced scale
 package main
 

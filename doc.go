@@ -5,10 +5,11 @@
 // pipeline, the HyperMapper machine-learning design-space exploration of
 // its algorithmic parameters, and the mobile-device performance study.
 //
-// The implementation lives under internal/; see README.md for the layout,
-// DESIGN.md for the system inventory and per-experiment index, and
-// EXPERIMENTS.md for measured-vs-paper results. The benchmarks in
-// bench_test.go regenerate every figure-level experiment.
+// The implementation lives under internal/, one package per layer of the
+// system. cmd/experiments regenerates every experiment (E1–E6) and
+// writes the measured-vs-paper report (`go run ./cmd/experiments -quick
+// -o report.md`); the benchmarks in bench_test.go regenerate every
+// figure-level experiment.
 //
 // # Concurrency model
 //
@@ -56,7 +57,7 @@
 // phases (active batches, random-only baselines, headline re-runs) is
 // simulated once. A hypermapper.MultiFidelity batch evaluator —
 // plugged into OptimizerConfig.BatchEval, built by
-// core.NewMultiFidelityEvaluator over slambench.Subsample — screens
+// core.Simulator.NewMultiFidelityEvaluator over slambench.Subsample — screens
 // every batch candidate on a frame-subsampled sequence and promotes
 // only the top-ranked fraction to full-fidelity runs; both rungs are
 // memoized and the promotion ranking breaks ties by batch position, so
@@ -74,6 +75,33 @@
 // on the same key (per-key singleflight), so two workers racing on one
 // configuration run a single pipeline simulation and Stats counts true
 // misses only.
+//
+// # Simulation cost
+//
+// One simulation (a configuration run over a sequence, core.Evaluate) is
+// the unit every exploration pays for, and three mechanisms keep it
+// cheap without changing a bit of its result. TSDF integration
+// (tsdf.Volume.Integrate) clips each x-row of voxels to the span that
+// can project into the image: the near plane and the four image edges,
+// multiplied through by depth, are linear inequalities along the row;
+// each edge is widened by one pixel and the span by one voxel, and only
+// voxels inside the span run the per-voxel test. The ray-caster
+// (tsdf.Volume.RaycastInto) ends a march early once a sample lies
+// outside the interpolable box on an axis the ray moves away from: each
+// coordinate of the ray is monotone in t under IEEE rounding, so no later
+// sample can succeed, and the remaining coarse steps are still counted.
+// Both kernels are pinned bit for bit to the plain versions kept as test
+// references in internal/tsdf. The imgproc.Cost a kernel returns, which
+// the device model turns into latency and energy, models the reference
+// kernel (every voxel; every step of the full march), not the work this
+// process did. Finally, a core.Simulator reuses pipelines: each
+// simulation draws one from a kfusion.Pipelines free list, which resets
+// (kfusion.Pipeline.Reset) a volume that holds the requested grid
+// instead of allocating a 256³ volume (135 MB) per simulation. The list
+// keeps at most one idle pipeline per simulation that ran concurrently,
+// and it lives only as long as its run: campaign.Run and core.RunFig2
+// each scope one Simulator to the call, so no volume outlives the run
+// and no package-level pool holds one.
 //
 // # Campaign engine: staged, resumable, cell-promoted
 //

@@ -178,6 +178,10 @@ type runner struct {
 	memoMu sync.Mutex                   // guards memos
 	memos  []*hypermapper.MemoEvaluator // every memo the run built, for stats aggregation
 
+	// sim runs every simulation of the run on reused pipelines; its
+	// volumes are dropped with the runner when Run returns.
+	sim core.Simulator
+
 	progressMu sync.Mutex // serialises OnProgress callbacks (see emit)
 }
 
@@ -572,13 +576,13 @@ func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) 
 		// top — the workload is already cheap by the stride.
 		view := slambench.Subsample(seq, r.opts.CellStride)
 		eval = r.memo(cell, r.opts.CellStride,
-			r.instrument(cell, simScreen, core.NewEvaluator(r.space, view, model))).Evaluate
+			r.instrument(cell, simScreen, r.sim.NewEvaluator(r.space, view, model))).Evaluate
 	case r.opts.FidelityStride > 1:
 		// Full fidelity with the intra-cell ladder; the WrapEval hook
 		// threads the simulation instrumentation under the memos and the
 		// Memo hook backs both rungs with the evaluation store, each at
 		// its own stride.
-		ladder, eval = core.NewMultiFidelityEvaluator(r.space, seq, model, core.FidelityOptions{
+		ladder, eval = r.sim.NewMultiFidelityEvaluator(r.space, seq, model, core.FidelityOptions{
 			Stride:          r.opts.FidelityStride,
 			PromoteFraction: r.opts.PromoteFraction,
 			AccuracyLimit:   r.opts.AccuracyLimit,
@@ -600,7 +604,7 @@ func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) 
 		})
 	default:
 		eval = r.memo(cell, 1,
-			r.instrument(cell, simFull, core.NewEvaluator(r.space, seq, model))).Evaluate
+			r.instrument(cell, simFull, r.sim.NewEvaluator(r.space, seq, model))).Evaluate
 	}
 
 	cfg := hypermapper.DefaultOptimizerConfig()
@@ -847,7 +851,7 @@ func (r *runner) measureCell(j int, cell Cell, candidates []hypermapper.Point, n
 		return nil, fmt.Errorf("campaign: cell %s/%s: %w", cell.Scenario.Name, cell.Target.Name, err)
 	}
 	memo := r.memo(cell, 1,
-		r.instrument(cell, simCross, core.NewEvaluator(r.space, seq, device.NewModel(cell.Target))))
+		r.instrument(cell, simCross, r.sim.NewEvaluator(r.space, seq, device.NewModel(cell.Target))))
 	if art := r.arts[j]; art.Fidelity == FidelityFull {
 		// The shared donor/preload filter (hypermapper.FullObservations)
 		// drops LowFidelity and Failed observations; MemoEvaluator.Preload

@@ -168,10 +168,47 @@ func DefaultPoint(space *hypermapper.Space) hypermapper.Point {
 // Evaluate runs one configuration over a sequence on the modelled device
 // and returns the DSE metrics. Runs that lose tracking on most frames
 // are flagged Failed (the paper's DSE similarly discards broken runs).
+// The simulation allocates its own pipeline; a run of many simulations
+// should go through a Simulator, which reuses pipelines.
 func Evaluate(seq dataset.Sequence, model *device.Model, cfg kfusion.Config) hypermapper.Metrics {
-	sys := slambench.NewKFusion(cfg, seq)
+	return evaluate(nil, seq, model, cfg)
+}
+
+// Simulator runs the simulations of one run (a campaign, a Fig. 2
+// exploration) and reuses pipeline storage between them: each simulation
+// draws its pipeline from the simulator's free list and gives it back
+// when it ends (see kfusion.Pipelines). Its metrics are bit for bit
+// those of Evaluate. The storage lives as long as the Simulator, so
+// scope one to a run and drop it when the run ends. The zero value is
+// ready and safe for concurrent use.
+type Simulator struct {
+	pipes kfusion.Pipelines
+}
+
+// Evaluate is core.Evaluate on a reused pipeline.
+func (s *Simulator) Evaluate(seq dataset.Sequence, model *device.Model, cfg kfusion.Config) hypermapper.Metrics {
+	return evaluate(&s.pipes, seq, model, cfg)
+}
+
+// NewEvaluator binds a sequence and device model into a hypermapper
+// Evaluator over the DSE space.
+func (s *Simulator) NewEvaluator(space *hypermapper.Space, seq dataset.Sequence, model *device.Model) hypermapper.Evaluator {
+	return func(pt hypermapper.Point) hypermapper.Metrics {
+		cfg, err := ConfigFromPoint(space, pt)
+		if err != nil {
+			return hypermapper.Metrics{Failed: true}
+		}
+		return s.Evaluate(seq, model, cfg)
+	}
+}
+
+// evaluate runs one simulation on a pipeline drawn from pipes (nil
+// allocates) and gives the pipeline back when the run ends.
+func evaluate(pipes *kfusion.Pipelines, seq dataset.Sequence, model *device.Model, cfg kfusion.Config) hypermapper.Metrics {
+	sys := slambench.NewKFusionFrom(pipes, cfg, seq)
 	runner := &slambench.Runner{Model: model}
 	sum, err := runner.Run(sys, seq)
+	sys.Release()
 	if err != nil {
 		return hypermapper.Metrics{Failed: true}
 	}
@@ -185,18 +222,6 @@ func Evaluate(seq dataset.Sequence, model *device.Model, cfg kfusion.Config) hyp
 		m.Failed = true
 	}
 	return m
-}
-
-// NewEvaluator binds a sequence and device model into a hypermapper
-// Evaluator over the DSE space.
-func NewEvaluator(space *hypermapper.Space, seq dataset.Sequence, model *device.Model) hypermapper.Evaluator {
-	return func(pt hypermapper.Point) hypermapper.Metrics {
-		cfg, err := ConfigFromPoint(space, pt)
-		if err != nil {
-			return hypermapper.Metrics{Failed: true}
-		}
-		return Evaluate(seq, model, cfg)
-	}
 }
 
 // FidelityOptions configure the multi-fidelity evaluation ladder.
@@ -258,10 +283,11 @@ func FidelityRank(limit float64) func(hypermapper.Metrics) float64 {
 // ever simulated twice at the same fidelity. The returned MultiFidelity
 // plugs into hypermapper.OptimizerConfig.BatchEval; full is the
 // memoized full-fidelity evaluator for point queries (default marker,
-// random baselines) that should share the cache.
-func NewMultiFidelityEvaluator(space *hypermapper.Space, seq dataset.Sequence, model *device.Model, opts FidelityOptions) (ladder *hypermapper.MultiFidelity, full hypermapper.Evaluator) {
-	highBase := NewEvaluator(space, seq, model)
-	lowBase := NewEvaluator(space, slambench.Subsample(seq, opts.Stride), model)
+// random baselines) that should share the cache. Both rungs simulate on
+// the Simulator's reused pipelines.
+func (s *Simulator) NewMultiFidelityEvaluator(space *hypermapper.Space, seq dataset.Sequence, model *device.Model, opts FidelityOptions) (ladder *hypermapper.MultiFidelity, full hypermapper.Evaluator) {
+	highBase := s.NewEvaluator(space, seq, model)
+	lowBase := s.NewEvaluator(space, slambench.Subsample(seq, opts.Stride), model)
 	if opts.WrapEval != nil {
 		highBase = opts.WrapEval("full", highBase)
 		lowBase = opts.WrapEval("low", lowBase)

@@ -86,7 +86,7 @@ func TestEvaluatorRejectsBadPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := NewEvaluator(s, seq, device.NewModel(device.OdroidXU3()))
+	eval := new(Simulator).NewEvaluator(s, seq, device.NewModel(device.OdroidXU3()))
 	m := eval(hypermapper.Point{1, 2})
 	if !m.Failed {
 		t.Fatal("malformed point did not fail")

@@ -127,18 +127,20 @@ func RunFig2(opts Fig2Options) (*Fig2Result, error) {
 	// Every full-fidelity measurement flows through one content-addressed
 	// memo, so a configuration re-sampled anywhere in the experiment —
 	// active batches, the random-only baseline, the default marker — is
-	// simulated exactly once.
+	// simulated exactly once. The experiment's simulations share one
+	// Simulator, which reuses pipelines until RunFig2 returns.
+	var sim Simulator
 	var eval hypermapper.Evaluator
 	var ladder *hypermapper.MultiFidelity
 	if opts.FidelityStride > 1 {
-		ladder, eval = NewMultiFidelityEvaluator(space, seq, model, FidelityOptions{
+		ladder, eval = sim.NewMultiFidelityEvaluator(space, seq, model, FidelityOptions{
 			Stride:          opts.FidelityStride,
 			PromoteFraction: opts.PromoteFraction,
 			AccuracyLimit:   opts.AccuracyLimit,
 			Workers:         opts.Workers,
 		})
 	} else {
-		eval = hypermapper.NewMemoEvaluator(NewEvaluator(space, seq, model)).Evaluate
+		eval = hypermapper.NewMemoEvaluator(sim.NewEvaluator(space, seq, model)).Evaluate
 	}
 
 	cfg := hypermapper.DefaultOptimizerConfig()

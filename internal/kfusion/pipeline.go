@@ -85,8 +85,9 @@ type Pipeline struct {
 	ref     icp.Reference
 	frameNo int
 	// pool recycles every per-frame map (pyramid depths, vertex/normal
-	// maps, raycast buffers) so the steady state allocates nothing.
-	pool imgproc.BufferPool
+	// maps, raycast buffers) so the steady state allocates nothing. Reset
+	// keeps it, with the volume, for the next simulation.
+	pool *imgproc.BufferPool
 	// integratedSinceRaycast counts integrations since the last model
 	// raycast, for the rendering-rate knob.
 	integratedSinceRaycast int
@@ -96,28 +97,49 @@ type Pipeline struct {
 // New builds a pipeline for a sensor with the given intrinsics, starting
 // from initialPose (camera-to-world of the first frame).
 func New(cfg Config, sensor camera.Intrinsics, initialPose math3.SE3) (*Pipeline, error) {
-	if err := cfg.Validate(); err != nil {
+	p := &Pipeline{}
+	if err := p.Reset(cfg, sensor, initialPose); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
+
+// Reset turns p into the pipeline New(cfg, sensor, initialPose) would
+// build: an empty volume, no tracking reference, frame 0. It keeps the
+// volume's storage when it holds cfg's res³ voxels (see
+// tsdf.Volume.Resize) and the per-frame buffer pool, so a simulation
+// that reuses a pipeline allocates no volume. An invalid cfg or sensor
+// leaves p unchanged.
+func (p *Pipeline) Reset(cfg Config, sensor camera.Intrinsics, initialPose math3.SE3) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if err := sensor.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	compute := sensor.ScaledTo(
 		sensor.Width/cfg.ComputeSizeRatio,
 		sensor.Height/cfg.ComputeSizeRatio,
 	)
 	if compute.Width < 8 || compute.Height < 8 {
-		return nil, fmt.Errorf("kfusion: compute resolution %dx%d too small", compute.Width, compute.Height)
+		return fmt.Errorf("kfusion: compute resolution %dx%d too small", compute.Width, compute.Height)
 	}
 	origin := cfg.VolumeCenter.Sub(math3.Splat3(cfg.VolumeSize / 2))
-	p := &Pipeline{
+	if p.volume == nil {
+		p.volume, p.pool = &tsdf.Volume{}, &imgproc.BufferPool{}
+	}
+	p.volume.Resize(cfg.VolumeResolution, cfg.VolumeSize, origin)
+	p.pool.PutVertex(p.ref.Vertices)
+	p.pool.PutNormal(p.ref.Normals)
+	*p = Pipeline{
 		cfg:    cfg,
 		inFull: sensor,
 		in:     compute,
-		volume: tsdf.New(cfg.VolumeResolution, cfg.VolumeSize, origin),
+		volume: p.volume,
 		pose:   initialPose,
+		pool:   p.pool,
 	}
-	return p, nil
+	return nil
 }
 
 // Config returns the active configuration.
@@ -140,8 +162,8 @@ func (p *Pipeline) TrackingFailures() int { return p.failures }
 // yet. The GUI renders this as its 3D model pane.
 //
 // The returned maps are owned by the pipeline's buffer pool: they stay
-// valid until the next ProcessFrame call, which may recycle them. Hold
-// them across frames only via a deep copy.
+// valid until the next ProcessFrame or Reset call, which may recycle
+// them. Hold them across frames only via a deep copy.
 func (p *Pipeline) Reference() (icp.Reference, bool) { return p.ref, p.hasRef }
 
 // ProcessFrame runs the full pipeline on one depth image (at sensor
@@ -258,7 +280,7 @@ func (p *Pipeline) preprocess(depth *imgproc.DepthMap) (*preprocessed, imgproc.C
 	}
 
 	levels := p.cfg.pyramidLevels()
-	depths, c := imgproc.BuildDepthPyramidPooled(&p.pool, filtered, levels, p.cfg.PyramidDiscontinuity)
+	depths, c := imgproc.BuildDepthPyramidPooled(p.pool, filtered, levels, p.cfg.PyramidDiscontinuity)
 	total.Add(c)
 
 	pp := &preprocessed{Depth: depths}

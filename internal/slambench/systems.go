@@ -13,8 +13,9 @@ import (
 // KFusionSystem adapts the KinectFusion pipeline to the harness.
 type KFusionSystem struct {
 	cfg      kfusion.Config
+	seq      dataset.Sequence
+	pipes    *kfusion.Pipelines
 	pipeline *kfusion.Pipeline
-	seqIntr  func() (*kfusion.Pipeline, error)
 }
 
 // NewKFusion prepares a KinectFusion system for a given sequence. The
@@ -22,19 +23,33 @@ type KFusionSystem struct {
 // come from the frame's ground truth (the SLAMBench convention: all
 // systems start from the dataset's first pose).
 func NewKFusion(cfg kfusion.Config, seq dataset.Sequence) *KFusionSystem {
-	s := &KFusionSystem{cfg: cfg}
-	s.seqIntr = func() (*kfusion.Pipeline, error) {
-		f0, err := seq.Frame(0)
-		if err != nil {
-			return nil, err
-		}
-		init := math3.SE3Identity()
-		if f0.HasGT {
-			init = f0.GroundTruth
-		}
-		return kfusion.New(cfg, seq.Intrinsics(), init)
+	return NewKFusionFrom(nil, cfg, seq)
+}
+
+// NewKFusionFrom is NewKFusion with the pipeline drawn from pipes (a nil
+// list allocates it); Release gives it back.
+func NewKFusionFrom(pipes *kfusion.Pipelines, cfg kfusion.Config, seq dataset.Sequence) *KFusionSystem {
+	return &KFusionSystem{cfg: cfg, seq: seq, pipes: pipes}
+}
+
+// start builds the pipeline at the sequence's first pose.
+func (s *KFusionSystem) start() (*kfusion.Pipeline, error) {
+	f0, err := s.seq.Frame(0)
+	if err != nil {
+		return nil, err
 	}
-	return s
+	init := math3.SE3Identity()
+	if f0.HasGT {
+		init = f0.GroundTruth
+	}
+	return s.pipes.Get(s.cfg, s.seq.Intrinsics(), init)
+}
+
+// Release gives the pipeline back to the list it was drawn from. Neither
+// the system nor its Pipeline may be used afterwards.
+func (s *KFusionSystem) Release() {
+	s.pipes.Put(s.pipeline)
+	s.pipeline = nil
 }
 
 // Name implements System.
@@ -50,7 +65,7 @@ func (s *KFusionSystem) Pipeline() *kfusion.Pipeline { return s.pipeline }
 // Process implements System.
 func (s *KFusionSystem) Process(f *dataset.Frame) (FrameOutput, error) {
 	if s.pipeline == nil {
-		p, err := s.seqIntr()
+		p, err := s.start()
 		if err != nil {
 			return FrameOutput{}, err
 		}

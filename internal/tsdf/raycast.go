@@ -71,8 +71,10 @@ func (v *Volume) RaycastInto(verts *imgproc.VertexMap, norms *imgproc.NormalMap,
 	if mu <= 0 {
 		mu = v.VoxelSize() * 4
 	}
-	coarse := math.Max(0.75*mu, v.VoxelSize())
-	fine := v.VoxelSize() * 0.5
+	h := v.VoxelSize()
+	inv := 1 / h
+	coarse := math.Max(0.75*mu, h)
+	fine := h * 0.5
 
 	steps := parallel.Reduce(in.Height, 0, func(ylo, yhi int) int64 {
 		var localSteps int64
@@ -80,13 +82,13 @@ func (v *Volume) RaycastInto(verts *imgproc.VertexMap, norms *imgproc.NormalMap,
 			for x := 0; x < in.Width; x++ {
 				dir := in.Ray(float64(x), float64(y))
 				wdir := pose.ApplyDir(dir)
-				hit, ok, n := v.marchRay(pose.T, wdir, coarse, fine, near, far)
+				hit, ok, n := v.marchRay(pose.T, wdir, coarse, fine, near, far, inv)
 				localSteps += n
 				if !ok {
 					continue
 				}
 				p := pose.T.Add(wdir.Scale(hit))
-				g, gok := v.Gradient(p)
+				g, gok := v.gradient(p, h, inv)
 				if !gok {
 					continue
 				}
@@ -109,7 +111,36 @@ func (v *Volume) RaycastInto(verts *imgproc.VertexMap, norms *imgproc.NormalMap,
 
 // marchRay walks one ray and returns the refined hit distance. The third
 // return value is the number of samples taken (for cost accounting).
-func (v *Volume) marchRay(o, d math3.Vec3, coarse, fine, near, far float64) (float64, bool, int64) {
+//
+// A sample outside the interpolable box on an axis the ray moves away
+// from (or along which it does not move) ends the march early: each
+// coordinate of o + d·t, and so its voxel index, is monotone in t under
+// IEEE rounding, so every later sample would fail the same way. The
+// remaining steps are still counted, with the same t += coarse
+// recurrence a full march would take, so the step count and the cost it
+// feeds are those of a march to far.
+func (v *Volume) marchRay(o, d math3.Vec3, coarse, fine, near, far, inv float64) (float64, bool, int64) {
+	// Outside bits that can never clear as t grows.
+	var away uint8
+	if d.X <= 0 {
+		away |= outXLow
+	}
+	if d.X >= 0 {
+		away |= outXHigh
+	}
+	if d.Y <= 0 {
+		away |= outYLow
+	}
+	if d.Y >= 0 {
+		away |= outYHigh
+	}
+	if d.Z <= 0 {
+		away |= outZLow
+	}
+	if d.Z >= 0 {
+		away |= outZHigh
+	}
+
 	t := near
 	var steps int64
 	prevT := t
@@ -117,8 +148,14 @@ func (v *Volume) marchRay(o, d math3.Vec3, coarse, fine, near, far float64) (flo
 	for t < far {
 		steps++
 		p := o.Add(d.Scale(t))
-		val, ok := v.SampleRelaxed(p)
+		val, ok, out := v.sample(p, inv)
 		if !ok {
+			if out&away != 0 {
+				for t += coarse; t < far; t += coarse {
+					steps++
+				}
+				return 0, false, steps
+			}
 			// Outside observed space: step coarsely.
 			prevVal = math.NaN()
 			prevT = t
