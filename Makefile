@@ -3,13 +3,14 @@
 test:
 	go build ./... && go test ./...
 
-# The concurrency substrate, the parallel DSE engine and the campaign
-# orchestrator must stay clean under the race detector. The campaign
-# package replays whole (small) campaigns many times — determinism
+# The concurrency substrate, the pipeline free list and front-end memo
+# that a run's simulations share, the parallel DSE engine and the
+# campaign orchestrator must stay clean under the race detector. The
+# campaign package replays whole (small) campaigns many times — determinism
 # across workers plus the checkpoint/resume suite — so it needs more
 # than the default 10-minute package timeout under the race detector.
 race:
-	go test -race -timeout 30m ./internal/parallel/... ./internal/hypermapper/... ./internal/campaign/... ./internal/seqcache/... ./internal/sharedfs/... ./internal/evalstore/... ./internal/serve/...
+	go test -race -timeout 30m ./internal/parallel/... ./internal/kfusion/... ./internal/hypermapper/... ./internal/campaign/... ./internal/seqcache/... ./internal/sharedfs/... ./internal/evalstore/... ./internal/serve/...
 
 bench:
 	go test -run '^$$' -bench . -benchmem .
@@ -17,7 +18,7 @@ bench:
 # Snapshot the benchmarks, compare against the saved baseline with
 # benchstat (when available) and distill the run into
 # BENCH_$(BENCH_INDEX).json (the per-PR snapshot series).
-BENCH_INDEX ?= 9
+BENCH_INDEX ?= 10
 bench-compare:
 	./scripts/bench-compare.sh $(BENCH_INDEX)
 

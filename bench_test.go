@@ -164,6 +164,60 @@ func BenchmarkFig2_EvaluateDefaultReused(b *testing.B) {
 	}
 }
 
+// sweepConfigs are eight fixed design points, two at each compute size
+// ratio, spread over the other DSE axes.
+func sweepConfigs() []kfusion.Config {
+	type point struct {
+		ratio, res, intRate, trackRate int
+		mu                             float64
+		iters                          [3]int
+	}
+	points := []point{
+		{1, 128, 1, 1, 0.1, [3]int{10, 5, 4}},
+		{1, 64, 2, 1, 0.2, [3]int{5, 3, 2}},
+		{2, 256, 1, 1, 0.075, [3]int{6, 4, 3}},
+		{2, 96, 3, 2, 0.15, [3]int{4, 3, 3}},
+		{4, 256, 2, 1, 0.1, [3]int{8, 4, 0}},
+		{4, 64, 1, 1, 0.3, [3]int{3, 2, 1}},
+		{8, 128, 1, 1, 0.2, [3]int{5, 0, 0}},
+		{8, 64, 2, 2, 0.25, [3]int{6, 3, 2}},
+	}
+	cfgs := make([]kfusion.Config, len(points))
+	for i, pt := range points {
+		cfg := kfusion.DefaultConfig()
+		cfg.ComputeSizeRatio, cfg.VolumeResolution = pt.ratio, pt.res
+		cfg.IntegrationRate, cfg.TrackingRate = pt.intRate, pt.trackRate
+		cfg.Mu, cfg.PyramidIterations = pt.mu, pt.iters
+		cfgs[i] = cfg
+	}
+	return cfgs
+}
+
+var sweepSink hypermapper.Metrics
+
+// BenchmarkFig2_EvaluateSweepReused simulates sweepConfigs through one
+// core.Simulator, as an exploration does: after a warm-up sweep outside
+// the timer, every simulation reuses a pipeline and reads each frame's
+// depth front end from the simulator's memo. One op is one sweep of
+// eight simulations.
+func BenchmarkFig2_EvaluateSweepReused(b *testing.B) {
+	seq := sequence(b)
+	model := device.NewModel(device.OdroidXU3())
+	cfgs := sweepConfigs()
+	var sim core.Simulator
+	sweep := func() {
+		for _, cfg := range cfgs {
+			sweepSink = sim.Evaluate(seq, model, cfg)
+		}
+	}
+	sweep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+}
+
 // BenchmarkFig2_EvaluateTuned is the same black box under the tuned
 // configuration; the ratio to EvaluateDefault is the wall-clock shadow
 // of the headline speed-up.

@@ -79,7 +79,7 @@
 // # Simulation cost
 //
 // One simulation (a configuration run over a sequence, core.Evaluate) is
-// the unit every exploration pays for, and three mechanisms keep it
+// the unit every exploration pays for, and four mechanisms keep it
 // cheap without changing a bit of its result. TSDF integration
 // (tsdf.Volume.Integrate) clips each x-row of voxels to the span that
 // can project into the image: the near plane and the four image edges,
@@ -102,6 +102,29 @@
 // and it lives only as long as its run: campaign.Run and core.RunFig2
 // each scope one Simulator to the call, so no volume outlives the run
 // and no package-level pool holds one.
+//
+// The same list shares each frame's depth front end (downsample,
+// bilateral filter, half-sample pyramid) across the run's simulations.
+// Of the DSE's parameters only the compute size ratio reaches the front
+// end, so a frame has at most four distinct pyramids in a run, and the
+// list computes each of them once. The list's memo holds each
+// frame's three-level float32 pyramid with a Cost per level, keyed on
+// the input depth map's identity (the sequence cache gives every cell of
+// a scenario the same in-memory sequence, and slambench.Subsample hands
+// out its base sequence's frames) and on every Config field the front
+// end reads: ComputeSizeRatio, BilateralRadius, BilateralSpatialSigma,
+// BilateralRangeSigma and PyramidDiscontinuity. A configuration with
+// fewer pyramid levels reads a prefix, as level l is built from level
+// l−1 alone. The first simulation to reach an entry builds it once
+// (sync.Once); the rest wait for it and then only read. Vertex and
+// normal maps are still built per frame in the pipeline's buffer pool,
+// and memo maps never enter a pool. Each frame still returns its full
+// preprocess Cost, so the device model charges every simulated frame
+// for its front end. The memo lives and dies with its list; it keeps its
+// input maps alive and stops growing at 64 MiB (about 3.4 MB per
+// quick-scale scene, 34 MB per default-scale one), after which frames
+// are preprocessed per simulation. kfusion.New, a nil list and so
+// core.Evaluate preprocess every frame themselves.
 //
 // # Campaign engine: staged, resumable, cell-promoted
 //

@@ -168,8 +168,9 @@ func DefaultPoint(space *hypermapper.Space) hypermapper.Point {
 // Evaluate runs one configuration over a sequence on the modelled device
 // and returns the DSE metrics. Runs that lose tracking on most frames
 // are flagged Failed (the paper's DSE similarly discards broken runs).
-// The simulation allocates its own pipeline; a run of many simulations
-// should go through a Simulator, which reuses pipelines.
+// The simulation allocates its own pipeline and preprocesses every frame
+// itself; a run of many simulations should go through a Simulator, which
+// reuses pipelines and shares preprocessed frames.
 func Evaluate(seq dataset.Sequence, model *device.Model, cfg kfusion.Config) hypermapper.Metrics {
 	return evaluate(nil, seq, model, cfg)
 }
@@ -177,8 +178,10 @@ func Evaluate(seq dataset.Sequence, model *device.Model, cfg kfusion.Config) hyp
 // Simulator runs the simulations of one run (a campaign, a Fig. 2
 // exploration) and reuses pipeline storage between them: each simulation
 // draws its pipeline from the simulator's free list and gives it back
-// when it ends (see kfusion.Pipelines). Its metrics are bit for bit
-// those of Evaluate. The storage lives as long as the Simulator, so
+// when it ends, and every simulation reads each frame's preprocessed
+// depth pyramid from the list's memo instead of filtering the frame
+// again (see kfusion.Pipelines). Its metrics are bit for bit those of
+// Evaluate. The storage and the memo live as long as the Simulator, so
 // scope one to a run and drop it when the run ends. The zero value is
 // ready and safe for concurrent use.
 type Simulator struct {

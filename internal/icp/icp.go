@@ -87,6 +87,21 @@ type Result struct {
 // Solve registers frame against ref starting from initPose
 // (camera-to-world estimate for the frame).
 func Solve(ref Reference, frame Frame, initPose math3.SE3, p Params) Result {
+	var s Solver
+	return s.Solve(ref, frame, initPose, p)
+}
+
+// Solver is Solve with scratch kept between calls: a tracker that
+// solves every frame owns one and allocates the per-chunk partial sums
+// of its normal equations once, not on every iteration. The zero value
+// is ready. A Solver must not be used by two goroutines at once.
+type Solver struct {
+	partials []partial
+}
+
+// Solve is the package-level Solve on s's scratch; its result is bit
+// for bit the same.
+func (s *Solver) Solve(ref Reference, frame Frame, initPose math3.SE3, p Params) Result {
 	pose := initPose
 	res := Result{Pose: pose}
 	if p.MaxIterations < 1 {
@@ -95,7 +110,7 @@ func Solve(ref Reference, frame Frame, initPose math3.SE3, p Params) Result {
 
 	worldToRef := ref.Pose.Inverse()
 	for it := 0; it < p.MaxIterations; it++ {
-		sys, cost := accumulate(ref, frame, pose, worldToRef, p)
+		sys, cost := s.accumulate(ref, frame, pose, worldToRef, p)
 		res.Cost.Add(cost)
 		res.Iterations = it + 1
 		res.Inliers = sys.Count
@@ -141,12 +156,12 @@ type partial struct {
 // of the per-chunk partial sums depend only on the image height, so the
 // accumulated system — and therefore the solved pose — is bit-identical
 // for any worker count.
-func accumulate(ref Reference, frame Frame, pose math3.SE3, worldToRef math3.SE3, p Params) (*math3.Sym6, imgproc.Cost) {
+func (s *Solver) accumulate(ref Reference, frame Frame, pose math3.SE3, worldToRef math3.SE3, p Params) (*math3.Sym6, imgproc.Cost) {
 	h := frame.Vertices.Height
 	w := frame.Vertices.Width
 	cosThresh := math.Cos(p.NormalThreshold)
 
-	total := parallel.Reduce(h, 0, func(ylo, yhi int) partial {
+	total := parallel.ReduceInto(&s.partials, h, 0, func(ylo, yhi int) partial {
 		var pt partial
 		sys := &pt.sys
 		for y := ylo; y < yhi; y++ {

@@ -173,3 +173,27 @@ func TestDefaultParamsSane(t *testing.T) {
 		t.Fatalf("bad defaults: %+v", p)
 	}
 }
+
+// TestSolverMatchesSolve reuses one Solver across solves at two image
+// sizes (so its scratch is grown and then reused) and demands the
+// package-level Solve's result bit for bit.
+func TestSolverMatchesSolve(t *testing.T) {
+	perturb := math3.ExpSE3([6]float64{0.02, -0.015, 0.01, 0.015, -0.01, 0.02})
+	var s Solver
+	for _, size := range [][2]int{{160, 120}, {40, 30}, {160, 120}} {
+		in := camera.Kinect640().ScaledTo(size[0], size[1])
+		pose := testPose()
+		vm, nm := buildMaps(t, pose, in)
+		wv, wn := toWorld(vm, nm, pose)
+		ref := Reference{Vertices: wv, Normals: wn, Pose: pose, Intr: in}
+		frame := Frame{Vertices: vm, Normals: nm}
+		for _, pointToPoint := range []bool{false, true} {
+			p := DefaultParams()
+			p.PointToPoint = pointToPoint
+			want := Solve(ref, frame, perturb.Mul(pose), p)
+			if got := s.Solve(ref, frame, perturb.Mul(pose), p); got != want {
+				t.Fatalf("%dx%d point-to-point=%v: Solver gave %+v, Solve %+v", size[0], size[1], pointToPoint, got, want)
+			}
+		}
+	}
+}

@@ -123,14 +123,9 @@ type Pyramid struct {
 func (p *Pyramid) Levels() int { return len(p.Depth) }
 
 // BuildDepthPyramid constructs an n-level depth pyramid via validity-aware
-// half-sampling with the given discontinuity band (metres).
+// half-sampling with the given discontinuity band (metres). out[0]
+// aliases base.
 func BuildDepthPyramid(base *DepthMap, levels int, band float32) ([]*DepthMap, Cost) {
-	return BuildDepthPyramidPooled(nil, base, levels, band)
-}
-
-// BuildDepthPyramidPooled is BuildDepthPyramid drawing the coarser levels
-// from pool (nil pool allocates fresh maps). out[0] aliases base.
-func BuildDepthPyramidPooled(pool *BufferPool, base *DepthMap, levels int, band float32) ([]*DepthMap, Cost) {
 	if levels < 1 {
 		levels = 1
 	}
@@ -139,12 +134,7 @@ func BuildDepthPyramidPooled(pool *BufferPool, base *DepthMap, levels int, band 
 	var cost Cost
 	for l := 1; l < levels; l++ {
 		src := out[l-1]
-		var d *DepthMap
-		if pool != nil {
-			d = pool.Depth(src.Width/2, src.Height/2)
-		} else {
-			d = NewDepthMap(src.Width/2, src.Height/2)
-		}
+		d := NewDepthMap(src.Width/2, src.Height/2)
 		cost.Add(HalfSampleDepthInto(d, src, band))
 		out[l] = d
 	}

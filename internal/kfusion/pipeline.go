@@ -86,8 +86,16 @@ type Pipeline struct {
 	frameNo int
 	// pool recycles every per-frame map (pyramid depths, vertex/normal
 	// maps, raycast buffers) so the steady state allocates nothing. Reset
-	// keeps it, with the volume, for the next simulation.
-	pool *imgproc.BufferPool
+	// keeps it, with the volume and the ICP solver's scratch, for the
+	// next simulation.
+	pool   *imgproc.BufferPool
+	solver icp.Solver
+	// front is the run's memo of depth pyramids when the pipeline came
+	// from Pipelines.Get; nil preprocesses every frame itself.
+	front *frontMemo
+	// frame holds the current frame's maps between preprocess and
+	// release.
+	frame preprocessed
 	// integratedSinceRaycast counts integrations since the last model
 	// raycast, for the rendering-rate knob.
 	integratedSinceRaycast int
@@ -138,6 +146,7 @@ func (p *Pipeline) Reset(cfg Config, sensor camera.Intrinsics, initialPose math3
 		volume: p.volume,
 		pose:   initialPose,
 		pool:   p.pool,
+		solver: p.solver,
 	}
 	return nil
 }
@@ -176,10 +185,11 @@ func (p *Pipeline) ProcessFrame(depth *imgproc.DepthMap) (*FrameResult, error) {
 	res := &FrameResult{Index: p.frameNo}
 
 	// --- Preprocess: downsample, denoise, pyramid, vertex/normal maps.
-	// Every map lives in the buffer pool and is recycled once the frame
-	// is done.
+	// Every map the pipeline draws lives in the buffer pool and is
+	// recycled once the frame is done.
 	t0 := time.Now()
-	pyr, cost := p.preprocess(depth)
+	pyr := &p.frame
+	cost := p.preprocess(pyr, depth)
 	defer p.release(pyr)
 	res.KernelCosts[KernelPreprocess] = cost
 	res.KernelTimes[KernelPreprocess] = time.Since(t0)
@@ -212,7 +222,7 @@ func (p *Pipeline) ProcessFrame(depth *imgproc.DepthMap) (*FrameResult, error) {
 	shouldIntegrate := p.frameNo%p.cfg.IntegrationRate == 0 && (res.Tracked || first)
 	if shouldIntegrate {
 		t0 = time.Now()
-		c := p.volume.Integrate(pyr.Depth[0], p.pose, p.in, p.cfg.Mu, p.cfg.MaxWeight)
+		c := p.volume.Integrate(pyr.depth[0], p.pose, p.in, p.cfg.Mu, p.cfg.MaxWeight)
 		res.KernelCosts[KernelIntegrate] = c
 		res.KernelTimes[KernelIntegrate] = time.Since(t0)
 		res.Integrated = true
@@ -246,70 +256,59 @@ func (p *Pipeline) ProcessFrame(depth *imgproc.DepthMap) (*FrameResult, error) {
 	return res, nil
 }
 
-// preprocessed holds the multi-scale maps of the current frame.
+// preprocessed holds the multi-scale maps of the current frame: the
+// first levels of its depth pyramid and the vertex and normal maps of
+// each.
 type preprocessed struct {
-	Depth    []*imgproc.DepthMap
-	Vertices []*imgproc.VertexMap
-	Normals  []*imgproc.NormalMap
-	Intr     []camera.Intrinsics
+	pyramid
+	levels   int
+	vertices [maxLevels]*imgproc.VertexMap
+	normals  [maxLevels]*imgproc.NormalMap
+	// shared marks a pyramid read from the run's memo: its depth maps
+	// are the memo's and never go back to the pool.
+	shared bool
 }
 
-func (p *Pipeline) preprocess(depth *imgproc.DepthMap) (*preprocessed, imgproc.Cost) {
-	var total imgproc.Cost
-
-	// Downsample to compute resolution (ratio is a power of two). The
-	// caller's input map is only ever read; intermediates come from the
-	// pool and go straight back.
-	work := depth
-	for r := p.cfg.ComputeSizeRatio; r > 1; r /= 2 {
-		half := p.pool.Depth(work.Width/2, work.Height/2)
-		total.Add(imgproc.HalfSampleDepthInto(half, work, p.cfg.PyramidDiscontinuity))
-		if work != depth {
-			p.pool.PutDepth(work)
-		}
-		work = half
-	}
-
-	// Bilateral denoise at compute resolution.
-	filtered := p.pool.Depth(work.Width, work.Height)
-	total.Add(imgproc.BilateralFilterInto(
-		filtered, work, p.cfg.BilateralRadius, p.cfg.BilateralSpatialSigma, p.cfg.BilateralRangeSigma,
-	))
-	if work != depth {
-		p.pool.PutDepth(work)
-	}
-
+// preprocess fills pp from the depth image and returns the front end's
+// cost. The depth pyramid comes from the run's memo when there is one
+// with room, else the pipeline builds it; the cost is the same either
+// way, so every frame is charged its front end.
+func (p *Pipeline) preprocess(pp *preprocessed, depth *imgproc.DepthMap) imgproc.Cost {
 	levels := p.cfg.pyramidLevels()
-	depths, c := imgproc.BuildDepthPyramidPooled(p.pool, filtered, levels, p.cfg.PyramidDiscontinuity)
-	total.Add(c)
+	if shared := p.front.get(depth, &p.cfg, p.pool); shared != nil {
+		pp.pyramid, pp.shared = *shared, true
+	} else {
+		pp.build(depth, &p.cfg, levels, p.pool, p.pool)
+	}
+	pp.levels = levels
 
-	pp := &preprocessed{Depth: depths}
-	for l, d := range depths {
+	var total imgproc.Cost
+	for l := 0; l < levels; l++ {
+		d := pp.depth[l]
+		total.Add(pp.cost[l])
 		in := p.in.Downsample(l)
 		vm := p.pool.Vertex(d.Width, d.Height)
 		total.Add(imgproc.DepthToVertexMapInto(vm, d, in.BackProject))
 		nm := p.pool.Normal(d.Width, d.Height)
 		total.Add(imgproc.VertexToNormalMapInto(nm, vm))
-		pp.Vertices = append(pp.Vertices, vm)
-		pp.Normals = append(pp.Normals, nm)
-		pp.Intr = append(pp.Intr, in)
+		pp.vertices[l], pp.normals[l] = vm, nm
 	}
-	return pp, total
+	return total
 }
 
-// release returns one frame's scratch maps to the pool. The pyramid's
-// depth maps all originate from the pool (level 0 is the bilateral
-// output, never the caller's input), as do the vertex and normal maps.
+// release returns one frame's scratch maps to the pool and clears pp.
+// A pipeline-built pyramid's depth maps all originate from the pool
+// (level 0 is the bilateral output, never the caller's input), as do
+// the vertex and normal maps; a memo pyramid's stay with the memo.
 func (p *Pipeline) release(pp *preprocessed) {
-	for _, d := range pp.Depth {
-		p.pool.PutDepth(d)
+	for l := 0; l < pp.levels; l++ {
+		if !pp.shared {
+			p.pool.PutDepth(pp.depth[l])
+		}
+		p.pool.PutVertex(pp.vertices[l])
+		p.pool.PutNormal(pp.normals[l])
 	}
-	for _, m := range pp.Vertices {
-		p.pool.PutVertex(m)
-	}
-	for _, m := range pp.Normals {
-		p.pool.PutNormal(m)
-	}
+	*pp = preprocessed{}
 }
 
 // track runs coarse-to-fine ICP against the model reference.
@@ -318,7 +317,7 @@ func (p *Pipeline) track(pyr *preprocessed) (bool, icp.Result, imgproc.Cost) {
 	pose := p.pose
 	var last icp.Result
 	ran := false
-	for level := len(pyr.Depth) - 1; level >= 0; level-- {
+	for level := pyr.levels - 1; level >= 0; level-- {
 		iters := p.cfg.PyramidIterations[level]
 		if iters <= 0 {
 			continue
@@ -330,8 +329,8 @@ func (p *Pipeline) track(pyr *preprocessed) (bool, icp.Result, imgproc.Cost) {
 			NormalThreshold:      p.cfg.ICPNormalThreshold,
 			Damping:              1e-6,
 		}
-		frame := icp.Frame{Vertices: pyr.Vertices[level], Normals: pyr.Normals[level]}
-		r := icp.Solve(p.ref, frame, pose, params)
+		frame := icp.Frame{Vertices: pyr.vertices[level], Normals: pyr.normals[level]}
+		r := p.solver.Solve(p.ref, frame, pose, params)
 		total.Add(r.Cost)
 		pose = r.Pose
 		last = r
@@ -342,7 +341,7 @@ func (p *Pipeline) track(pyr *preprocessed) (bool, icp.Result, imgproc.Cost) {
 	}
 
 	// Quality gate: reject divergent or under-constrained tracks.
-	finest := pyr.Vertices[0]
+	finest := pyr.vertices[0]
 	minInliers := int(p.cfg.MinInlierFraction * float64(finest.Width*finest.Height))
 	if last.RMSE > p.cfg.TrackRMSEThreshold || last.Inliers < minInliers {
 		return false, last, total

@@ -17,17 +17,33 @@ import (
 // idle pipelines than the run had simulations in flight at once. Get
 // takes the idle pipeline with the smallest volume that holds the
 // request; when none does, it drops every idle pipeline (each is
-// smaller) before allocating. The list's owner bounds the storage's
-// lifetime: drop the list when the run ends and the volumes go with it.
-// The zero value is an empty list, safe for concurrent use. A nil
-// *Pipelines reuses nothing: Get allocates and Put discards.
+// smaller) before allocating.
+//
+// The list also holds the run's memo of preprocessed frames. Every
+// pipeline Get hands out reads a frame's bilateral-filtered depth
+// pyramid, and its cost, from the memo instead of filtering the frame
+// again; the first simulation to reach a frame builds it. Entries are
+// keyed on the input depth map's identity and on every Config field the
+// front end reads (ComputeSizeRatio, BilateralRadius,
+// BilateralSpatialSigma, BilateralRangeSigma, PyramidDiscontinuity), so
+// the frame results, costs included, are bit for bit those of a
+// pipeline from New. The memo keeps its input maps alive and stops
+// growing at frontMemoMaxBytes (64 MiB); later frames are preprocessed
+// per simulation.
+//
+// The list's owner bounds the storage's lifetime: drop the list when the
+// run ends and the volumes and the memo go with it. The zero value is an
+// empty list, safe for concurrent use. A nil *Pipelines reuses nothing:
+// Get allocates, Put discards, and every frame is preprocessed anew.
 type Pipelines struct {
-	mu   sync.Mutex
-	idle []*Pipeline
+	mu    sync.Mutex
+	idle  []*Pipeline
+	front frontMemo
 }
 
 // Get returns a pipeline in the state New(cfg, sensor, initialPose)
-// builds, reusing an idle one when its volume holds cfg's grid.
+// builds, reusing an idle one when its volume holds cfg's grid. The
+// pipeline preprocesses frames through the list's memo.
 func (l *Pipelines) Get(cfg Config, sensor camera.Intrinsics, initialPose math3.SE3) (*Pipeline, error) {
 	if l == nil {
 		return New(cfg, sensor, initialPose)
@@ -37,12 +53,15 @@ func (l *Pipelines) Get(cfg Config, sensor camera.Intrinsics, initialPose math3.
 	}
 	p := l.take(cfg.VolumeResolution)
 	if p == nil {
-		return New(cfg, sensor, initialPose)
-	}
-	if err := p.Reset(cfg, sensor, initialPose); err != nil {
+		var err error
+		if p, err = New(cfg, sensor, initialPose); err != nil {
+			return nil, err
+		}
+	} else if err := p.Reset(cfg, sensor, initialPose); err != nil {
 		l.Put(p)
 		return nil, err
 	}
+	p.front = &l.front
 	return p, nil
 }
 

@@ -217,6 +217,15 @@ func chunkBounds(n, nc, c int) (lo, hi int) {
 // floating-point reductions (ICP normal equations, cost sums) come out
 // bit-exact no matter the parallelism.
 func Reduce[A any](n, workers int, body func(lo, hi int) A, merge func(*A, A)) A {
+	return ReduceInto(nil, n, workers, body, merge)
+}
+
+// ReduceInto is Reduce keeping the per-chunk partials in *scratch,
+// which it grows when too short, so a caller that reduces again and
+// again (an ICP solve, once per iteration) allocates them once. A nil
+// scratch allocates them per call. Two reductions running at once must
+// not share a scratch. Chunking and merge order are Reduce's.
+func ReduceInto[A any](scratch *[]A, n, workers int, body func(lo, hi int) A, merge func(*A, A)) A {
 	var zero A
 	if n <= 0 {
 		return zero
@@ -248,7 +257,7 @@ func Reduce[A any](n, workers int, body func(lo, hi int) A, merge func(*A, A)) A
 	}
 	active.Add(int64(w))
 	defer active.Add(-int64(w))
-	partials := make([]A, nc)
+	partials := grow(scratch, nc)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)
@@ -272,6 +281,18 @@ func Reduce[A any](n, workers int, body func(lo, hi int) A, merge func(*A, A)) A
 		merge(&acc, partials[c])
 	}
 	return acc
+}
+
+// grow returns *scratch resliced to n entries, reallocating it when it
+// holds fewer; a nil scratch gets a fresh slice.
+func grow[A any](scratch *[]A, n int) []A {
+	if scratch == nil {
+		return make([]A, n)
+	}
+	if cap(*scratch) < n {
+		*scratch = make([]A, n)
+	}
+	return (*scratch)[:n]
 }
 
 // MapOrdered applies fn to every item on a bounded pool and returns the

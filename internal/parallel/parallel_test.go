@@ -82,6 +82,46 @@ func TestReduceDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestReduceIntoReusesScratch reduces problems of several sizes through
+// one scratch: every sum must equal Reduce's single-worker reference bit
+// for bit, and once grown to the largest chunk count the scratch is
+// reused, not reallocated.
+func TestReduceIntoReusesScratch(t *testing.T) {
+	vals := make([]float64, 10007)
+	for i := range vals {
+		vals[i] = math.Pow(10, float64(i%30)-15) * float64(1+i%7)
+	}
+	sum := func(lo, hi int) float64 {
+		s := 0.0
+		for i := lo; i < hi; i++ {
+			s += vals[i]
+		}
+		return s
+	}
+	add := func(acc *float64, p float64) { *acc += p }
+	var scratch []float64
+	var first *float64
+	for _, n := range []int{10007, 5, 64, 200, 10007} {
+		for _, w := range []int{1, 2, 4, 8} {
+			want := Reduce(n, 1, sum, add)
+			if got := ReduceInto(&scratch, n, w, sum, add); got != want {
+				t.Fatalf("n=%d workers=%d: ReduceInto %v != Reduce %v", n, w, got, want)
+			}
+			if len(scratch) == 0 {
+				continue
+			}
+			if first == nil {
+				first = &scratch[:1][0]
+			} else if &scratch[:1][0] != first {
+				t.Fatalf("n=%d workers=%d: scratch reallocated", n, w)
+			}
+		}
+	}
+	if first == nil {
+		t.Fatal("no parallel reduction used the scratch")
+	}
+}
+
 func TestReduceEmpty(t *testing.T) {
 	got := Reduce(0, 4, func(lo, hi int) int { return 1 }, func(a *int, b int) { *a += b })
 	if got != 0 {
