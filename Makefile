@@ -18,7 +18,7 @@ bench:
 # Snapshot the benchmarks, compare against the saved baseline with
 # benchstat (when available) and distill the run into
 # BENCH_$(BENCH_INDEX).json (the per-PR snapshot series).
-BENCH_INDEX ?= 10
+BENCH_INDEX ?= 11
 bench-compare:
 	./scripts/bench-compare.sh $(BENCH_INDEX)
 

@@ -64,14 +64,13 @@ func tunedConfig() kfusion.Config {
 	return cfg
 }
 
-func runOnce(b *testing.B, cfg kfusion.Config, model *device.Model) *slambench.Summary {
+func simulateOnce(b *testing.B, cfg kfusion.Config) core.Trace {
 	b.Helper()
-	seq := sequence(b)
-	sum, err := (&slambench.Runner{Model: model}).Run(slambench.NewKFusion(cfg, seq), seq)
+	trace, err := core.Simulate(sequence(b), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sum
+	return trace
 }
 
 // ---- E1 / Figure 1: the instrumented pipeline ----
@@ -391,52 +390,37 @@ func BenchmarkFig2_KnowledgeExtraction(b *testing.B) {
 
 // ---- E4 / headline: default vs tuned on the XU3 model ----
 
-// benchHeadline executes recorded per-frame costs on the XU3 model and
-// reports simulated FPS and watts as benchmark metrics.
+var headlineSink hypermapper.Metrics
+
+// benchHeadline times replaying one simulation's trace on the XU3 model.
+// The figures it yields (simulated FPS, watts, max ATE) are pinned by
+// internal/core's TestHeadlineXU3Golden.
 func benchHeadline(b *testing.B, cfg kfusion.Config) {
-	sum := runOnce(b, cfg, nil)
+	trace := simulateOnce(b, cfg)
 	model := device.NewModel(device.OdroidXU3())
-	var lastFPS, lastW float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var lat, energy float64
-		for _, r := range sum.Records {
-			st := model.ExecuteFrame(r.Cost, 1.0/30)
-			lat += st.Latency
-			energy += st.Energy
-		}
-		n := float64(len(sum.Records))
-		lastFPS = n / lat
-		// Average power over the run window: the sensor period when the
-		// device keeps up, the busy time when it does not.
-		window := n / 30
-		if lat > window {
-			window = lat
-		}
-		lastW = energy / window
+		headlineSink = trace.Replay(model)
 	}
-	b.ReportMetric(lastFPS, "simFPS")
-	b.ReportMetric(lastW, "simW")
-	b.ReportMetric(sum.ATE.Max*1000, "maxATE_mm")
 }
 
-// BenchmarkHeadline_DefaultXU3 reports the stock configuration's
-// simulated FPS/W on the XU3 (the "state of the art" baseline).
+// BenchmarkHeadline_DefaultXU3 replays the stock configuration on the
+// XU3 (the "state of the art" baseline).
 func BenchmarkHeadline_DefaultXU3(b *testing.B) { benchHeadline(b, kfusion.DefaultConfig()) }
 
-// BenchmarkHeadline_TunedXU3 reports the tuned configuration's simulated
-// FPS/W; the ratio to DefaultXU3 is the paper's 4.8×/2.8× claim.
+// BenchmarkHeadline_TunedXU3 replays the tuned configuration on the XU3;
+// its ratio to DefaultXU3 is the paper's 4.8×/2.8× claim.
 func BenchmarkHeadline_TunedXU3(b *testing.B) { benchHeadline(b, tunedConfig()) }
 
 // ---- E5 / Figure 3: the 83-phone sweep ----
 
-// BenchmarkFig3_PhoneSweep measures converting one configuration's
-// recorded frame costs into per-device latencies across the whole
-// catalogue (the sweep after the two pipeline runs).
+// BenchmarkFig3_PhoneSweep measures replaying the default and the tuned
+// configuration's traces on every phone of the catalogue (the sweep
+// after the two simulations).
 func BenchmarkFig3_PhoneSweep(b *testing.B) {
-	sumDef := runOnce(b, kfusion.DefaultConfig(), nil)
-	sumTuned := runOnce(b, tunedConfig(), nil)
+	def := simulateOnce(b, kfusion.DefaultConfig())
+	tuned := simulateOnce(b, tunedConfig())
 	cat := phones.Catalogue(42)
 	var mean float64
 	b.ReportAllocs()
@@ -445,14 +429,7 @@ func BenchmarkFig3_PhoneSweep(b *testing.B) {
 		mean = 0
 		for _, p := range cat {
 			m := device.NewModel(p)
-			var dLat, tLat float64
-			for _, r := range sumDef.Records {
-				dLat += m.ExecuteFrame(r.Cost, 1.0/30).Latency
-			}
-			for _, r := range sumTuned.Records {
-				tLat += m.ExecuteFrame(r.Cost, 1.0/30).Latency
-			}
-			mean += dLat / tLat
+			mean += def.Replay(m).Runtime / tuned.Replay(m).Runtime
 		}
 		mean /= float64(len(cat))
 	}

@@ -117,7 +117,7 @@ func main() {
 		map[bool]string{true: " -quick", false: ""}[spec.Quick], spec.Seed)
 	fmt.Fprintf(w, "Workload: lr_kt%d analogue, %d×%d, %d frames, Kinect noise=%v; ",
 		scale.KT, scale.Width, scale.Height, scale.Frames, scale.Noisy)
-	fmt.Fprintf(w, "execution target: simulated ODROID-XU3 (see DESIGN.md for the substitution rationale).\n\n")
+	fmt.Fprintf(w, "execution target: simulated ODROID-XU3 (see the internal/device package doc for the substitution rationale).\n\n")
 	fmt.Fprintf(w, "Absolute numbers live on the simulated device, so only *relative*\n")
 	fmt.Fprintf(w, "comparisons are claims; every paper claim is checked as a ratio/shape.\n\n")
 

@@ -56,8 +56,8 @@
 // binary encoding of the point, so any configuration re-sampled across
 // phases (active batches, random-only baselines, headline re-runs) is
 // simulated once. A hypermapper.MultiFidelity batch evaluator —
-// plugged into OptimizerConfig.BatchEval, built by
-// core.Simulator.NewMultiFidelityEvaluator over slambench.Subsample — screens
+// plugged into OptimizerConfig.BatchEval by core.Simulator.Explore
+// (ExploreOptions.FidelityStride) over slambench.Subsample — screens
 // every batch candidate on a frame-subsampled sequence and promotes
 // only the top-ranked fraction to full-fidelity runs; both rungs are
 // memoized and the promotion ranking breaks ties by batch position, so
@@ -77,6 +77,19 @@
 // misses only.
 //
 // # Simulation cost
+//
+// A configuration is simulated once per sequence, and every device
+// number is a replay of its trace. core.Simulate runs the pipeline and
+// returns a core.Trace: each frame's imgproc.Cost, the max ATE and the
+// tracked share, none of which depends on the device. Trace.Replay
+// turns the trace into latency, energy and power on one device model
+// through device.Run, the one home of the run-level rule (mean latency,
+// total energy, power over max(n·period, busy time), the share of
+// frames that met the deadline) that slambench.Runner uses for live
+// runs too. So the headline simulates two configurations and replays
+// the tuned one at each XU3 operating point, Fig. 3 replays two traces
+// on 83 phones, and the decision machine simulates each candidate once;
+// core.Evaluate is a simulation replayed on one model.
 //
 // One simulation (a configuration run over a sequence, core.Evaluate) is
 // the unit every exploration pays for, and four mechanisms keep it
@@ -139,15 +152,16 @@
 //
 // A campaign runs as a staged job model — Plan → Explore → Promote →
 // CrossMeasure → Aggregate — where every stage consumes and emits
-// serialisable per-cell artifacts. Explore runs a constrained
-// Fig2-style exploration per cell (sharded over internal/parallel,
-// memoized, with the intra-cell multi-fidelity ladder when
-// -mf-stride is set); CrossMeasure re-measures every cell's best
-// feasible and leading front members in every other cell at full
-// fidelity; Aggregate picks the cross-scenario robust configuration
-// with hypermapper.RobustBest — feasible in all cells first, then
-// minimum worst-case per-cell rank, then rank sum — which quantifies
-// the paper's "one configuration does not fit all scenes" point.
+// serialisable per-cell artifacts. Explore runs Fig. 2's constrained
+// exploration, core.Simulator.Explore, per cell (sharded over
+// internal/parallel, memoized, with the intra-cell multi-fidelity
+// ladder when -mf-stride is set); CrossMeasure re-measures every
+// cell's best feasible and leading front members in every other cell
+// at full fidelity; Aggregate picks the cross-scenario robust
+// configuration with hypermapper.RobustBest — feasible in all cells
+// first, then minimum worst-case per-cell rank, then rank sum — which
+// quantifies the paper's "one configuration does not fit all scenes"
+// point.
 //
 // With -campaign-store the artifacts persist: one versioned JSON file
 // per cell per stage in the store root (campaign.Store, the

@@ -16,7 +16,6 @@ import (
 	"slamgo/internal/device"
 	"slamgo/internal/imgproc"
 	"slamgo/internal/kfusion"
-	"slamgo/internal/phones"
 )
 
 func main() {
@@ -66,5 +65,4 @@ func main() {
 		fmt.Printf("  %-10s %6.1f FPS  %.2f W  deadline met: %v\n",
 			op, 1/st.Latency, st.Power, st.MetDeadline)
 	}
-	_ = phones.CatalogueSize
 }

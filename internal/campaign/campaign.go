@@ -195,7 +195,7 @@ type Options struct {
 	// campaign result is identical for any value.
 	Workers int
 	// FidelityStride > 1 enables the multi-fidelity ladder inside every
-	// full-fidelity cell exploration (see core.FidelityOptions).
+	// full-fidelity cell exploration (see core.ExploreOptions).
 	FidelityStride int
 	// PromoteFraction is the intra-cell ladder's promoted share per
 	// batch.

@@ -130,6 +130,41 @@ func TestCellLadderScreensAndPromotes(t *testing.T) {
 	}
 }
 
+// TestEqualStridesClassifyByFidelity runs the cell ladder with an
+// intra-cell ladder at the same stride: a screening simulation and a
+// ladder-low one then run at equal strides, and only the fidelity a
+// cell explores at tells them apart. Every cell screens; exactly the
+// promoted cells run ladder-low and full-fidelity exploration
+// simulations.
+func TestEqualStridesClassifyByFidelity(t *testing.T) {
+	opts := resumeOptions(2, "")
+	opts.FidelityStride = opts.CellStride
+	opts.PromoteFraction = 0.5
+	var mu sync.Mutex
+	perCell := map[int]map[string]int{}
+	opts.observeSimulation = func(cell int, class string) {
+		mu.Lock()
+		defer mu.Unlock()
+		if perCell[cell] == nil {
+			perCell[cell] = map[string]int{}
+		}
+		perCell[cell][class]++
+	}
+	res, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range res.Cells {
+		sims := perCell[i]
+		if sims[simScreen] == 0 {
+			t.Errorf("cell %d ran no screening simulation: %v", i, sims)
+		}
+		if explored := sims[simLadderLow] > 0 && sims[simFull] > 0; explored != c.Promoted {
+			t.Errorf("cell %d (promoted %v) ran ladder-low/full simulations %v", i, c.Promoted, sims)
+		}
+	}
+}
+
 // TestInterruptedResumeByteIdentical is the acceptance check of the
 // staged model: a campaign killed at a stage boundary and resumed —
 // under any worker count — renders a byte-identical report to an

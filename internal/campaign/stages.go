@@ -14,7 +14,6 @@ import (
 	"slamgo/internal/parallel"
 	"slamgo/internal/seqcache"
 	"slamgo/internal/sharedfs"
-	"slamgo/internal/slambench"
 )
 
 // Stage names one phase of the staged campaign job model. A campaign is
@@ -565,58 +564,37 @@ func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) 
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s/%s: %w", cell.Scenario.Name, cell.Target.Name, err)
 	}
-	model := device.NewModel(cell.Target)
-
-	var eval hypermapper.Evaluator
-	var ladder *hypermapper.MultiFidelity
-	switch {
-	case fidelity == FidelityScreen:
+	opts := core.ExploreOptions{
+		RandomSamples:     r.opts.RandomSamples,
+		ActiveIterations:  r.opts.ActiveIterations,
+		BatchPerIteration: r.opts.BatchPerIteration,
+		AccuracyLimit:     r.opts.AccuracyLimit,
+		Seed:              cellSeed(r.opts.Seed, cell.Index),
+		Workers:           r.opts.Workers,
+		// Each rung simulates under the instrumentation, beneath a memo
+		// backed by the evaluation store at the rung's stride, so memo
+		// and store hits never count as simulations. The class comes
+		// from the fidelity explored at: the screening stride and the
+		// ladder's may be equal.
+		Memo: func(stride int, eval hypermapper.Evaluator) *hypermapper.MemoEvaluator {
+			class := simFull
+			switch {
+			case fidelity == FidelityScreen:
+				class = simScreen
+			case stride > 1:
+				class = simLadderLow
+			}
+			return r.memo(cell, stride, r.instrument(cell, class, eval))
+		},
+	}
+	if fidelity == FidelityScreen {
 		// Screening rung of the cell ladder: the whole exploration runs
 		// on the CellStride-subsampled sequence. No intra-cell ladder on
 		// top — the workload is already cheap by the stride.
-		view := slambench.Subsample(seq, r.opts.CellStride)
-		eval = r.memo(cell, r.opts.CellStride,
-			r.instrument(cell, simScreen, r.sim.NewEvaluator(r.space, view, model))).Evaluate
-	case r.opts.FidelityStride > 1:
-		// Full fidelity with the intra-cell ladder; the WrapEval hook
-		// threads the simulation instrumentation under the memos and the
-		// Memo hook backs both rungs with the evaluation store, each at
-		// its own stride.
-		ladder, eval = r.sim.NewMultiFidelityEvaluator(r.space, seq, model, core.FidelityOptions{
-			Stride:          r.opts.FidelityStride,
-			PromoteFraction: r.opts.PromoteFraction,
-			AccuracyLimit:   r.opts.AccuracyLimit,
-			Workers:         r.opts.Workers,
-			WrapEval: func(fidelity string, e hypermapper.Evaluator) hypermapper.Evaluator {
-				class := simFull
-				if fidelity == "low" {
-					class = simLadderLow
-				}
-				return r.instrument(cell, class, e)
-			},
-			Memo: func(fidelity string, e hypermapper.Evaluator) *hypermapper.MemoEvaluator {
-				stride := 1
-				if fidelity == "low" {
-					stride = r.opts.FidelityStride
-				}
-				return r.memo(cell, stride, e)
-			},
-		})
-	default:
-		eval = r.memo(cell, 1,
-			r.instrument(cell, simFull, r.sim.NewEvaluator(r.space, seq, model))).Evaluate
-	}
-
-	cfg := hypermapper.DefaultOptimizerConfig()
-	cfg.RandomSamples = r.opts.RandomSamples
-	cfg.ActiveIterations = r.opts.ActiveIterations
-	cfg.BatchPerIteration = r.opts.BatchPerIteration
-	cfg.Seed = cellSeed(r.opts.Seed, cell.Index)
-	cfg.Workers = r.opts.Workers
-	cfg.ConstraintObjective = 1 // MaxATE
-	cfg.ConstraintLimit = r.opts.AccuracyLimit
-	if ladder != nil {
-		cfg.BatchEval = ladder
+		opts.Stride = r.opts.CellStride
+	} else {
+		opts.FidelityStride = r.opts.FidelityStride
+		opts.PromoteFraction = r.opts.PromoteFraction
 	}
 	// Warm-started borrower: concentrate a reduced seeding budget around
 	// the donors' winners and bias acquisition with a prior pooled from
@@ -632,54 +610,41 @@ func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) 
 		donorSets, donorPoints, labels := r.donorData(cell, fidelity, donors)
 		if len(donorPoints) > 0 {
 			transferDonors, transferSeeds = labels, len(donorPoints)
-			cfg.RandomSamples = r.opts.TransferSeeds
+			opts.RandomSamples = r.opts.TransferSeeds
 			if r.opts.transferExtraRound() {
 				// Reinvest part of the freed seeding budget in one extra
 				// model-guided round — granted only when the total still
 				// clears the savings bar (see transferExtraRound).
-				cfg.ActiveIterations++
+				opts.ActiveIterations++
 			}
-			cfg.Seeder = hypermapper.WarmStartSeeder{Donors: donorPoints, Fraction: warmFraction}
+			opts.Seeder = hypermapper.WarmStartSeeder{Donors: donorPoints, Fraction: warmFraction}
 			if prior, ok := hypermapper.NewForestPrior(donorSets, hypermapper.RuntimeAccuracy,
-				hypermapper.PriorConfig{Seed: cfg.Seed, Workers: cfg.Workers}); ok {
-				cfg.Prior = prior
+				hypermapper.PriorConfig{Seed: opts.Seed, Workers: opts.Workers}); ok {
+				opts.Prior = prior
 			}
 			r.logf("cell %d (%s on %s): warm start from %d donors, %d seed configurations",
 				cell.Index, cell.Scenario.Name, cell.Target.Name, len(labels), transferSeeds)
 		}
 	}
-	active, err := hypermapper.Optimize(r.space, eval, cfg)
+	ex, err := r.sim.Explore(r.space, seq, device.NewModel(cell.Target), opts)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s/%s: %w", cell.Scenario.Name, cell.Target.Name, err)
 	}
-
-	art := &cellArtifact{
+	return &cellArtifact{
 		Scenario:          cell.Scenario.Name,
 		Device:            cell.Target.Name,
 		Fidelity:          fidelity,
-		Observations:      active.Observations,
-		Front:             active.Front,
-		Evaluations:       len(active.Observations),
-		FullFidelityEvals: len(active.Observations),
+		Observations:      ex.Result.Observations,
+		Front:             ex.Result.Front,
+		BestFeasible:      ex.Best,
+		HasBestFeasible:   ex.HasBest,
+		Evaluations:       len(ex.Result.Observations),
+		FullFidelityEvals: ex.FullEvals,
+		LowFidelityEvals:  ex.LowEvals,
 		TransferBorrower:  transferBorrower,
 		TransferDonors:    transferDonors,
 		TransferSeeds:     transferSeeds,
-	}
-	if fidelity == FidelityScreen {
-		// Screening runs cost a CellStride-th of a full simulation; they
-		// are the cell's low-fidelity spend, not full-fidelity evals.
-		art.FullFidelityEvals = 0
-		art.LowFidelityEvals = len(active.Observations)
-	}
-	if ladder != nil {
-		low, high := ladder.Stats()
-		art.LowFidelityEvals = low
-		art.FullFidelityEvals = high
-	}
-	art.BestFeasible, art.HasBestFeasible = hypermapper.Best(active.Observations,
-		hypermapper.AccuracyLimit(r.opts.AccuracyLimit),
-		func(m hypermapper.Metrics) float64 { return m.Runtime })
-	return art, nil
+	}, nil
 }
 
 // promote is the Promote stage of the cell-level ladder: score every

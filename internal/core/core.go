@@ -22,6 +22,7 @@ import (
 	"slamgo/internal/dataset"
 	"slamgo/internal/device"
 	"slamgo/internal/hypermapper"
+	"slamgo/internal/imgproc"
 	"slamgo/internal/kfusion"
 	"slamgo/internal/slambench"
 )
@@ -165,12 +166,52 @@ func DefaultPoint(space *hypermapper.Space) hypermapper.Point {
 	return pt
 }
 
-// Evaluate runs one configuration over a sequence on the modelled device
-// and returns the DSE metrics. Runs that lose tracking on most frames
-// are flagged Failed (the paper's DSE similarly discards broken runs).
+// Trace is what one simulation leaves that no device model has touched:
+// each frame's arithmetic cost, the run's max ATE and the share of
+// frames tracked. Tracking and accuracy never see the device, so one
+// trace replays on any number of device models without running the
+// pipeline again.
+type Trace struct {
+	Costs           []imgproc.Cost
+	MaxATE          float64
+	TrackedFraction float64
+}
+
+// sensorPeriod is the frame period traces replay under: the harness's
+// default 30 FPS sensor rate, which every simulation runs at.
+const sensorPeriod = 1.0 / 30
+
+// Failed reports a run that lost tracking on most frames; the paper's
+// DSE similarly discards broken runs.
+func (t Trace) Failed() bool { return t.TrackedFraction < 0.5 }
+
+// Replay executes the trace's frames on model and returns the DSE
+// metrics, bit for bit those of Evaluate on the same model.
+func (t Trace) Replay(model *device.Model) hypermapper.Metrics {
+	run := device.Run{Model: model, Period: sensorPeriod}
+	for _, c := range t.Costs {
+		run.Execute(c)
+	}
+	st := run.Stats()
+	return hypermapper.Metrics{
+		Runtime: st.MeanLatency,
+		MaxATE:  t.MaxATE,
+		Power:   st.MeanPower,
+		Energy:  st.TotalEnergy,
+		Failed:  t.Failed(),
+	}
+}
+
+// Simulate runs one configuration over a sequence and returns its trace.
 // The simulation allocates its own pipeline and preprocesses every frame
 // itself; a run of many simulations should go through a Simulator, which
 // reuses pipelines and shares preprocessed frames.
+func Simulate(seq dataset.Sequence, cfg kfusion.Config) (Trace, error) {
+	return simulate(nil, seq, cfg)
+}
+
+// Evaluate simulates one configuration over a sequence and replays the
+// trace on the modelled device; a simulation that errs is Failed.
 func Evaluate(seq dataset.Sequence, model *device.Model, cfg kfusion.Config) hypermapper.Metrics {
 	return evaluate(nil, seq, model, cfg)
 }
@@ -205,113 +246,156 @@ func (s *Simulator) NewEvaluator(space *hypermapper.Space, seq dataset.Sequence,
 	}
 }
 
-// evaluate runs one simulation on a pipeline drawn from pipes (nil
+// simulate runs one simulation on a pipeline drawn from pipes (nil
 // allocates) and gives the pipeline back when the run ends.
-func evaluate(pipes *kfusion.Pipelines, seq dataset.Sequence, model *device.Model, cfg kfusion.Config) hypermapper.Metrics {
+func simulate(pipes *kfusion.Pipelines, seq dataset.Sequence, cfg kfusion.Config) (Trace, error) {
 	sys := slambench.NewKFusionFrom(pipes, cfg, seq)
-	runner := &slambench.Runner{Model: model}
-	sum, err := runner.Run(sys, seq)
+	sum, err := (&slambench.Runner{}).Run(sys, seq)
 	sys.Release()
+	if err != nil {
+		return Trace{}, err
+	}
+	t := Trace{
+		Costs:           make([]imgproc.Cost, len(sum.Records)),
+		MaxATE:          sum.ATE.Max,
+		TrackedFraction: sum.TrackedFraction,
+	}
+	for i, rec := range sum.Records {
+		t.Costs[i] = rec.Cost
+	}
+	return t, nil
+}
+
+func evaluate(pipes *kfusion.Pipelines, seq dataset.Sequence, model *device.Model, cfg kfusion.Config) hypermapper.Metrics {
+	t, err := simulate(pipes, seq, cfg)
 	if err != nil {
 		return hypermapper.Metrics{Failed: true}
 	}
-	m := hypermapper.Metrics{
-		Runtime: sum.SimMeanLatency,
-		MaxATE:  sum.ATE.Max,
-		Power:   sum.SimMeanPower,
-		Energy:  sum.SimTotalEnergy,
-	}
-	if sum.TrackedFraction < 0.5 {
-		m.Failed = true
-	}
-	return m
+	return t.Replay(model)
 }
 
-// FidelityOptions configure the multi-fidelity evaluation ladder.
-type FidelityOptions struct {
-	// Stride subsamples the sequence for the low-fidelity pass; values
-	// ≤ 1 disable the ladder (every evaluation runs at full fidelity).
-	Stride int
-	// PromoteFraction is the share of each batch promoted to a
-	// full-fidelity run (default 0.25).
-	PromoteFraction float64
-	// AccuracyLimit, when > 0, makes the promotion ranking
-	// constraint-aware: candidates whose low-fidelity max ATE exceeds
-	// the limit rank behind every feasible one.
+// ExploreOptions configure Simulator.Explore.
+type ExploreOptions struct {
+	// RandomSamples, ActiveIterations and BatchPerIteration budget the
+	// optimizer; zero keeps hypermapper.DefaultOptimizerConfig's value.
+	RandomSamples, ActiveIterations, BatchPerIteration int
+	// AccuracyLimit is the max-ATE bound (metres) under which the
+	// exploration minimises runtime.
 	AccuracyLimit float64
-	// Workers bounds the ladder's evaluation parallelism.
+	Seed          int64
+	// Workers bounds how many configurations are simulated at once and
+	// the surrogates' parallelism (0 means GOMAXPROCS). The exploration
+	// is identical for any value.
 	Workers int
-	// WrapEval, when non-nil, wraps each rung's base evaluator before
-	// it is memoized — fidelity is "full" or "low". The campaign
-	// engine's simulation-counting instrumentation plugs in here;
-	// because the wrap sits under the memo, cache hits never pass
-	// through it.
-	WrapEval func(fidelity string, eval hypermapper.Evaluator) hypermapper.Evaluator
-	// Memo, when non-nil, constructs each rung's memo evaluator from
-	// its (already wrapped) base evaluator — fidelity is "full" or
-	// "low". The campaign engine plugs in here to back both rungs with
-	// the persistent evaluation store (a full-fidelity rung keyed at
-	// stride 1, a low rung at the ladder's stride); nil gets a plain
-	// in-memory hypermapper.NewMemoEvaluator.
-	Memo func(fidelity string, eval hypermapper.Evaluator) *hypermapper.MemoEvaluator
+	// Stride > 1 runs the whole exploration on the sequence subsampled
+	// by this stride: a screening exploration, all of whose runs are
+	// low-fidelity spend.
+	Stride int
+	// FidelityStride > 1 turns on the multi-fidelity ladder: every batch
+	// is screened on the explored sequence subsampled by this stride,
+	// and only the most promising PromoteFraction of it (default 0.25)
+	// runs on the explored sequence. The ranking is constraint-aware:
+	// failed runs rank last, runs over the accuracy limit behind every
+	// feasible one. Without Stride the promoted runs are the full-fidelity
+	// spend and the screening runs the low-fidelity spend.
+	FidelityStride  int
+	PromoteFraction float64
+	// Seeder and Prior warm-start the optimizer (see
+	// hypermapper.OptimizerConfig).
+	Seeder hypermapper.Seeder
+	Prior  hypermapper.Prior
+	// Memo, when non-nil, builds each rung's memo from the rung's
+	// simulating evaluator; stride is the rung's subsampling of the
+	// sequence (1 for the full sequence). Nil gets a plain
+	// hypermapper.NewMemoEvaluator.
+	Memo func(stride int, eval hypermapper.Evaluator) *hypermapper.MemoEvaluator
+	Log  func(string)
 }
 
-// FidelityRank is the constraint-aware promotion ranking of the
-// multi-fidelity ladder (lower is more promising): failed runs rank
-// last, candidates whose low-fidelity max ATE exceeds the limit rank
-// behind every feasible one (closest to the bound first), and feasible
-// candidates rank by runtime. It is shared by the intra-cell ladder
-// (NewMultiFidelityEvaluator) and the campaign engine's cell
-// explorations so both promote identically.
-func FidelityRank(limit float64) func(hypermapper.Metrics) float64 {
-	return func(m hypermapper.Metrics) float64 {
-		switch {
-		case m.Failed:
-			return math.Inf(1)
-		case m.MaxATE > limit:
-			// Infeasible at low fidelity: rank behind every feasible
-			// candidate, closest to the bound first.
-			return 1e6 + (m.MaxATE - limit)
-		default:
-			return m.Runtime
-		}
-	}
+// Exploration is the outcome of Simulator.Explore.
+type Exploration struct {
+	Result *hypermapper.Result
+	// Eval is the memoized evaluator of the explored sequence, for point
+	// queries (a random baseline, the default marker) that should share
+	// the exploration's cache.
+	Eval hypermapper.Evaluator
+	// FullEvals and LowEvals count the simulations spent on the explored
+	// sequence and on screening runs.
+	FullEvals, LowEvals int
+	// Best is the fastest observation within the accuracy limit; HasBest
+	// is false when there is none.
+	Best    hypermapper.Observation
+	HasBest bool
 }
 
-// NewMultiFidelityEvaluator builds the evaluation ladder over the DSE
-// space: a memoized low-fidelity evaluator on the stride-subsampled
-// sequence screens every candidate, and a memoized full-fidelity
-// evaluator measures only the promoted share of each batch. Both memos
-// are content-addressed on the encoded point, so no configuration is
-// ever simulated twice at the same fidelity. The returned MultiFidelity
-// plugs into hypermapper.OptimizerConfig.BatchEval; full is the
-// memoized full-fidelity evaluator for point queries (default marker,
-// random baselines) that should share the cache. Both rungs simulate on
-// the Simulator's reused pipelines.
-func (s *Simulator) NewMultiFidelityEvaluator(space *hypermapper.Space, seq dataset.Sequence, model *device.Model, opts FidelityOptions) (ladder *hypermapper.MultiFidelity, full hypermapper.Evaluator) {
-	highBase := s.NewEvaluator(space, seq, model)
-	lowBase := s.NewEvaluator(space, slambench.Subsample(seq, opts.Stride), model)
-	if opts.WrapEval != nil {
-		highBase = opts.WrapEval("full", highBase)
-		lowBase = opts.WrapEval("low", lowBase)
-	}
-	newMemo := opts.Memo
-	if newMemo == nil {
-		newMemo = func(_ string, eval hypermapper.Evaluator) *hypermapper.MemoEvaluator {
-			return hypermapper.NewMemoEvaluator(eval)
+// Explore is the paper's constrained design-space exploration of space
+// on a sequence and device model: random seeding, then active learning
+// that minimises runtime subject to max ATE ≤ AccuracyLimit, with every
+// simulation memoized so no configuration runs twice on one rung. It is
+// the one recipe behind Fig. 2 and the campaign's cell explorations.
+func (s *Simulator) Explore(space *hypermapper.Space, seq dataset.Sequence, model *device.Model, opts ExploreOptions) (*Exploration, error) {
+	rung := func(stride int) hypermapper.Evaluator {
+		eval := s.NewEvaluator(space, slambench.Subsample(seq, stride), model)
+		if opts.Memo == nil {
+			return hypermapper.NewMemoEvaluator(eval).Evaluate
 		}
+		return opts.Memo(stride, eval).Evaluate
 	}
-	high := newMemo("full", highBase)
-	low := newMemo("low", lowBase)
-	var rank func(hypermapper.Metrics) float64
-	if opts.AccuracyLimit > 0 {
-		rank = FidelityRank(opts.AccuracyLimit)
+	stride := max(opts.Stride, 1)
+	ex := &Exploration{Eval: rung(stride)}
+
+	cfg := hypermapper.DefaultOptimizerConfig()
+	if opts.RandomSamples > 0 {
+		cfg.RandomSamples = opts.RandomSamples
 	}
-	return &hypermapper.MultiFidelity{
-		Low:             low.Evaluate,
-		High:            high.Evaluate,
-		PromoteFraction: opts.PromoteFraction,
-		Rank:            rank,
-		Workers:         opts.Workers,
-	}, high.Evaluate
+	if opts.ActiveIterations > 0 {
+		cfg.ActiveIterations = opts.ActiveIterations
+	}
+	if opts.BatchPerIteration > 0 {
+		cfg.BatchPerIteration = opts.BatchPerIteration
+	}
+	cfg.Seed, cfg.Workers, cfg.Log = opts.Seed, opts.Workers, opts.Log
+	cfg.Seeder, cfg.Prior = opts.Seeder, opts.Prior
+	cfg.ConstraintObjective = 1 // MaxATE
+	cfg.ConstraintLimit = opts.AccuracyLimit
+	var ladder *hypermapper.MultiFidelity
+	if opts.FidelityStride > 1 {
+		limit := opts.AccuracyLimit
+		ladder = &hypermapper.MultiFidelity{
+			Low:             rung(stride * opts.FidelityStride),
+			High:            ex.Eval,
+			PromoteFraction: opts.PromoteFraction,
+			Rank: func(m hypermapper.Metrics) float64 {
+				switch {
+				case m.Failed:
+					return math.Inf(1)
+				case m.MaxATE > limit:
+					// Infeasible at low fidelity: rank behind every
+					// feasible candidate, closest to the bound first.
+					return 1e6 + (m.MaxATE - limit)
+				}
+				return m.Runtime
+			},
+			Workers: opts.Workers,
+		}
+		cfg.BatchEval = ladder
+	}
+
+	res, err := hypermapper.Optimize(space, ex.Eval, cfg)
+	if err != nil {
+		return nil, err
+	}
+	ex.Result = res
+	switch {
+	case stride > 1:
+		ex.LowEvals = len(res.Observations)
+	case ladder != nil:
+		ex.LowEvals, ex.FullEvals = ladder.Stats()
+	default:
+		ex.FullEvals = len(res.Observations)
+	}
+	ex.Best, ex.HasBest = hypermapper.Best(res.Observations,
+		hypermapper.AccuracyLimit(opts.AccuracyLimit),
+		func(m hypermapper.Metrics) float64 { return m.Runtime })
+	return ex, nil
 }

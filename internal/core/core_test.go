@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"slamgo/internal/device"
 	"slamgo/internal/hypermapper"
 	"slamgo/internal/kfusion"
+	"slamgo/internal/phones"
 )
 
 func TestDSESpaceValid(t *testing.T) {
@@ -157,5 +159,88 @@ func TestRunFig1(t *testing.T) {
 	}
 	if s.SimFPS <= 0 {
 		t.Fatal("no simulated FPS")
+	}
+}
+
+// TestReplayMatchesEvaluate replays one simulation on devices of every
+// kind — an XU3 DVFS point, the desktop comparator and catalogue phones —
+// and requires Evaluate's metrics bit for bit, a fresh simulation each.
+func TestReplayMatchesEvaluate(t *testing.T) {
+	seq, err := QuickScale().Sequence()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := kfusion.DefaultConfig()
+	cfg.VolumeResolution = 64
+	trace, err := Simulate(seq, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trace.Costs) != seq.Len() {
+		t.Fatalf("trace of %d frames for a %d-frame sequence", len(trace.Costs), seq.Len())
+	}
+	low, err := device.NewModel(device.OdroidXU3()).AtPoint("low")
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []*device.Model{low, device.NewModel(device.DesktopGPU())}
+	picks, err := phones.ByName(42, "galaxy-s3-mali400", "pixel2-adreno540")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range picks {
+		models = append(models, device.NewModel(p))
+	}
+	for _, m := range models {
+		if got, want := trace.Replay(m), Evaluate(seq, m, cfg); !sameMetrics(got, want) {
+			t.Errorf("%s/%s: replay %+v, evaluate %+v", m.Profile.Name, m.Point.Name, got, want)
+		}
+	}
+}
+
+// TestExploreRungs pins how Explore wires its rungs: the Memo hook sees
+// each rung's stride of the full sequence (a ladder inside a strided
+// exploration screens at the product), and the spend is low fidelity
+// for a strided exploration, split by the ladder, full otherwise.
+func TestExploreRungs(t *testing.T) {
+	scale := QuickScale()
+	scale.Frames = 8
+	seq, err := scale.Sequence()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := device.NewModel(device.OdroidXU3())
+	var sim Simulator
+	for _, c := range []struct {
+		stride, ladder int
+		rungs          []int
+	}{
+		{1, 2, []int{1, 2}},
+		{2, 1, []int{2}},
+		{2, 2, []int{2, 4}},
+	} {
+		var rungs []int
+		ex, err := sim.Explore(DSESpace(), seq, model, ExploreOptions{
+			RandomSamples: 3, ActiveIterations: 1, BatchPerIteration: 2,
+			AccuracyLimit: 0.08, Seed: 1, Workers: 2,
+			Stride: c.stride, FidelityStride: c.ladder, PromoteFraction: 0.5,
+			Memo: func(stride int, eval hypermapper.Evaluator) *hypermapper.MemoEvaluator {
+				rungs = append(rungs, stride)
+				return hypermapper.NewMemoEvaluator(eval)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rungs, c.rungs) {
+			t.Errorf("stride %d, ladder %d: rungs at strides %v, want %v", c.stride, c.ladder, rungs, c.rungs)
+		}
+		n := len(ex.Result.Observations)
+		switch {
+		case c.stride > 1 && (ex.LowEvals != n || ex.FullEvals != 0):
+			t.Errorf("strided exploration spent %d full, %d low for %d observations", ex.FullEvals, ex.LowEvals, n)
+		case c.stride == 1 && (ex.LowEvals != n || ex.FullEvals == 0 || ex.FullEvals >= n):
+			t.Errorf("ladder spent %d full, %d low for %d observations", ex.FullEvals, ex.LowEvals, n)
+		}
 	}
 }

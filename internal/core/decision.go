@@ -9,7 +9,6 @@ import (
 	"slamgo/internal/kfusion"
 	"slamgo/internal/phones"
 	"slamgo/internal/rf"
-	"slamgo/internal/slambench"
 )
 
 // The paper closes with its plan to "train a decision machine for mobile
@@ -78,11 +77,11 @@ func deviceFeatureNames() []string {
 	return []string{"gops", "bandwidth_gbs", "overhead_ms", "year"}
 }
 
-// RunDecisionMachine measures each candidate once (accuracy and per-frame
-// costs are device-independent), picks the best candidate per phone
-// (fastest meeting the accuracy limit, preferring the highest-quality
-// config that still sustains the sensor rate), and fits a decision tree
-// over device features.
+// RunDecisionMachine simulates each candidate once (accuracy and
+// per-frame costs are device-independent), replays the traces on every
+// phone to pick its best candidate (fastest meeting the accuracy limit,
+// preferring the highest-quality config that still sustains the sensor
+// rate), and fits a decision tree over device features.
 func RunDecisionMachine(candidates []CandidateConfig, scale Scale, ateLimit float64, seed int64) (*DecisionMachine, error) {
 	if len(candidates) < 2 {
 		return nil, errors.New("core: decision machine needs ≥2 candidates")
@@ -97,25 +96,17 @@ func RunDecisionMachine(candidates []CandidateConfig, scale Scale, ateLimit floa
 
 	dm := &DecisionMachine{Candidates: candidates}
 
-	// Measure every candidate once on the neutral harness.
-	type measured struct {
-		records []slambench.FrameRecord
-		ate     float64
-		ok      bool
-	}
-	ms := make([]measured, len(candidates))
+	// Simulate every candidate once; each device replays the traces.
+	traces := make([]Trace, len(candidates))
+	ok := make([]bool, len(candidates))
 	for i, c := range candidates {
-		sys := slambench.NewKFusion(c.Config, seq)
-		sum, err := (&slambench.Runner{}).Run(sys, seq)
+		t, err := Simulate(seq, c.Config)
 		if err != nil {
 			return nil, fmt.Errorf("core: candidate %q: %w", c.Name, err)
 		}
-		ms[i] = measured{
-			records: sum.Records,
-			ate:     sum.ATE.Max,
-			ok:      sum.TrackedFraction >= 0.5 && sum.ATE.Max <= ateLimit,
-		}
-		dm.CandidateATE = append(dm.CandidateATE, sum.ATE.Max)
+		traces[i] = t
+		ok[i] = !t.Failed() && t.MaxATE <= ateLimit
+		dm.CandidateATE = append(dm.CandidateATE, t.MaxATE)
 	}
 
 	// Per-device choice: among accuracy-feasible candidates, prefer the
@@ -133,10 +124,10 @@ func RunDecisionMachine(candidates []CandidateConfig, scale Scale, ateLimit floa
 		bestFPS := 0.0
 		// Candidates are ordered from highest to lowest quality.
 		for i := range candidates {
-			if !ms[i].ok {
+			if !ok[i] {
 				continue
 			}
-			lat := meanLatency(m, ms[i].records)
+			lat := traces[i].Replay(m).Runtime
 			if lat <= 0 {
 				continue
 			}

@@ -40,8 +40,9 @@ func RunFig1(scale Scale) (*Fig1Result, error) {
 // Fig2Options parameterise the DSE experiment.
 type Fig2Options struct {
 	Scale Scale
-	// RandomSamples / ActiveIterations / BatchPerIteration follow the
-	// optimizer; zero values use small defaults suited to the scale.
+	// RandomSamples / ActiveIterations / BatchPerIteration budget the
+	// optimizer; zero keeps hypermapper.DefaultOptimizerConfig's value,
+	// whatever the scale.
 	RandomSamples     int
 	ActiveIterations  int
 	BatchPerIteration int
@@ -121,56 +122,36 @@ func RunFig2(opts Fig2Options) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := device.NewModel(device.OdroidXU3())
 	space := DSESpace()
 
-	// Every full-fidelity measurement flows through one content-addressed
-	// memo, so a configuration re-sampled anywhere in the experiment —
-	// active batches, the random-only baseline, the default marker — is
-	// simulated exactly once. The experiment's simulations share one
-	// Simulator, which reuses pipelines until RunFig2 returns.
+	// The experiment's simulations share one Simulator, which reuses
+	// pipelines until RunFig2 returns, and every full-fidelity
+	// measurement goes through the exploration's memo, so a
+	// configuration re-sampled anywhere in the experiment — active
+	// batches, the random-only baseline, the default marker — is
+	// simulated exactly once.
 	var sim Simulator
-	var eval hypermapper.Evaluator
-	var ladder *hypermapper.MultiFidelity
-	if opts.FidelityStride > 1 {
-		ladder, eval = sim.NewMultiFidelityEvaluator(space, seq, model, FidelityOptions{
-			Stride:          opts.FidelityStride,
-			PromoteFraction: opts.PromoteFraction,
-			AccuracyLimit:   opts.AccuracyLimit,
-			Workers:         opts.Workers,
-		})
-	} else {
-		eval = hypermapper.NewMemoEvaluator(sim.NewEvaluator(space, seq, model)).Evaluate
-	}
-
-	cfg := hypermapper.DefaultOptimizerConfig()
-	if opts.RandomSamples > 0 {
-		cfg.RandomSamples = opts.RandomSamples
-	}
-	if opts.ActiveIterations > 0 {
-		cfg.ActiveIterations = opts.ActiveIterations
-	}
-	if opts.BatchPerIteration > 0 {
-		cfg.BatchPerIteration = opts.BatchPerIteration
-	}
-	cfg.Seed = opts.Seed
-	cfg.Log = opts.Log
-	cfg.Workers = opts.Workers
-	cfg.ConstraintObjective = 1 // MaxATE
-	cfg.ConstraintLimit = opts.AccuracyLimit
-	if ladder != nil {
-		cfg.BatchEval = ladder
-	}
-
-	active, err := hypermapper.Optimize(space, eval, cfg)
+	ex, err := sim.Explore(space, seq, device.NewModel(device.OdroidXU3()), ExploreOptions{
+		RandomSamples:     opts.RandomSamples,
+		ActiveIterations:  opts.ActiveIterations,
+		BatchPerIteration: opts.BatchPerIteration,
+		AccuracyLimit:     opts.AccuracyLimit,
+		Seed:              opts.Seed,
+		Workers:           opts.Workers,
+		FidelityStride:    opts.FidelityStride,
+		PromoteFraction:   opts.PromoteFraction,
+		Log:               opts.Log,
+	})
 	if err != nil {
 		return nil, err
 	}
-
 	res := &Fig2Result{
-		Space:         space,
-		Active:        active,
-		AccuracyLimit: opts.AccuracyLimit,
+		Space:           space,
+		Active:          ex.Result,
+		BestFeasible:    ex.Best,
+		HasBestFeasible: ex.HasBest,
+		ActiveLowEvals:  ex.LowEvals,
+		AccuracyLimit:   opts.AccuracyLimit,
 	}
 
 	// Same-budget random baseline, evaluated on the same worker pool.
@@ -179,40 +160,25 @@ func RunFig2(opts Fig2Options) (*Fig2Result, error) {
 	// only the promoted share of each batch ran the full sequence —
 	// counting observations would hand the baseline a full run for every
 	// cheap screening run and silently inflate its budget.
-	budget := len(active.Observations)
-	if ladder != nil {
-		low, high := ladder.Stats()
-		res.ActiveLowEvals = low
-		budget = high
-	}
-	if budget < 1 {
-		budget = 1
-	}
+	budget := max(ex.FullEvals, 1)
 	res.ActiveFullEvals = budget
 	res.BaselineBudget = budget
 	rng := newRng(opts.Seed + 7777)
 	randomPts := space.SampleN(budget, rng)
-	pe := hypermapper.ParallelEvaluator{Eval: eval, Workers: opts.Workers}
+	pe := hypermapper.ParallelEvaluator{Eval: ex.Eval, Workers: opts.Workers}
 	for i, m := range pe.EvalAll(randomPts) {
 		res.RandomOnly = append(res.RandomOnly, hypermapper.Observation{X: randomPts[i], M: m})
 	}
 
 	// Default configuration marker.
-	res.DefaultMetrics = eval(DefaultPoint(space))
-
-	// Best feasible configuration.
-	best, ok := hypermapper.Best(active.Observations,
-		hypermapper.AccuracyLimit(opts.AccuracyLimit),
-		func(m hypermapper.Metrics) float64 { return m.Runtime })
-	res.BestFeasible = best
-	res.HasBestFeasible = ok
+	res.DefaultMetrics = ex.Eval(DefaultPoint(space))
 
 	// Knowledge extraction over everything evaluated at full fidelity.
 	// Low-fidelity screening runs are surrogate fuel only: PaperClasses
 	// labels use absolute FPS/ATE thresholds, so subsampled metrics
 	// would systematically mislabel the rules (and skew importance).
 	var all []hypermapper.Observation
-	for _, o := range append(append([]hypermapper.Observation(nil), active.Observations...), res.RandomOnly...) {
+	for _, o := range append(append([]hypermapper.Observation(nil), ex.Result.Observations...), res.RandomOnly...) {
 		if !o.M.LowFidelity {
 			all = append(all, o)
 		}
@@ -276,7 +242,9 @@ type HeadlineResult struct {
 	TunedMeetsRealTime bool
 }
 
-// RunHeadline derives the headline numbers from a Fig2 exploration.
+// RunHeadline derives the headline numbers from a Fig2 exploration. It
+// simulates the default and the tuned configuration once each and
+// replays the tuned one at every XU3 operating point.
 func RunHeadline(fig2 *Fig2Result, scale Scale) (*HeadlineResult, error) {
 	if !fig2.HasBestFeasible {
 		return nil, fmt.Errorf("core: exploration found no configuration with max ATE ≤ %.3f", fig2.AccuracyLimit)
@@ -289,41 +257,36 @@ func RunHeadline(fig2 *Fig2Result, scale Scale) (*HeadlineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defCfg := kfusion.DefaultConfig()
+	def, tuned, err := simulatePair(seq, kfusion.DefaultConfig(), tunedCfg)
+	if err != nil {
+		return nil, err
+	}
 
 	nominal := device.NewModel(device.OdroidXU3())
 	res := &HeadlineResult{
-		Default:     Evaluate(seq, nominal, defCfg),
-		TunedPerf:   Evaluate(seq, nominal, tunedCfg),
+		Default:     def.Replay(nominal),
+		TunedPerf:   tuned.Replay(nominal),
 		TunedConfig: tunedCfg,
 		TunedPoint:  "nominal",
 	}
 	res.TunedLowPower = res.TunedPerf
 
-	// Sweep operating points from slowest to fastest; keep the lowest-
-	// power one that still sustains the sensor rate and accuracy.
-	type cand struct {
-		name string
-		m    hypermapper.Metrics
-	}
-	var feasible []cand
+	// Keep the lowest-power operating point that still sustains the
+	// sensor rate and accuracy (the first one on a tie); without one the
+	// nominal point stands.
+	found := false
 	for _, opName := range nominal.Points() {
 		m, err := nominal.AtPoint(opName)
 		if err != nil {
 			continue
 		}
-		met := Evaluate(seq, m, tunedCfg)
-		if met.Failed || met.MaxATE > fig2.AccuracyLimit {
+		met := tuned.Replay(m)
+		if met.Failed || met.MaxATE > fig2.AccuracyLimit || met.Runtime <= 0 || 1/met.Runtime < 30 {
 			continue
 		}
-		if met.Runtime > 0 && 1/met.Runtime >= 30 {
-			feasible = append(feasible, cand{opName, met})
+		if !found || met.Power < res.TunedLowPower.Power {
+			res.TunedLowPower, res.TunedPoint, found = met, opName, true
 		}
-	}
-	sort.Slice(feasible, func(i, j int) bool { return feasible[i].m.Power < feasible[j].m.Power })
-	if len(feasible) > 0 {
-		res.TunedLowPower = feasible[0].m
-		res.TunedPoint = feasible[0].name
 	}
 
 	if res.TunedPerf.Runtime > 0 {
@@ -355,19 +318,14 @@ type Fig3Result struct {
 }
 
 // RunFig3 replays the default and tuned configurations across the
-// 83-phone catalogue. Per-frame kernel costs are measured once per
-// configuration (they are device-independent); each phone model then
-// converts them to latency.
+// 83-phone catalogue: each configuration is simulated once, and each
+// phone model replays the two traces.
 func RunFig3(tuned kfusion.Config, scale Scale, seed int64) (*Fig3Result, error) {
 	seq, err := scale.Sequence()
 	if err != nil {
 		return nil, err
 	}
-	defCosts, err := frameCosts(seq, kfusion.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	tunedCosts, err := frameCosts(seq, tuned)
+	defTrace, tunedTrace, err := simulatePair(seq, kfusion.DefaultConfig(), tuned)
 	if err != nil {
 		return nil, err
 	}
@@ -377,8 +335,8 @@ func RunFig3(tuned kfusion.Config, scale Scale, seed int64) (*Fig3Result, error)
 	// the worker pool and aggregate in catalogue order.
 	perPhone := parallel.MapOrdered(0, phones.Catalogue(seed), func(_ int, p device.Profile) PhoneSpeedup {
 		m := device.NewModel(p)
-		d := meanLatency(m, defCosts)
-		t := meanLatency(m, tunedCosts)
+		d := defTrace.Replay(m).Runtime
+		t := tunedTrace.Replay(m).Runtime
 		if t <= 0 {
 			return PhoneSpeedup{}
 		}
@@ -416,25 +374,15 @@ func RunFig3(tuned kfusion.Config, scale Scale, seed int64) (*Fig3Result, error)
 	return res, nil
 }
 
-// frameCosts runs one configuration over the sequence and returns the
-// per-frame arithmetic costs.
-func frameCosts(seq dataset.Sequence, cfg kfusion.Config) ([]slambench.FrameRecord, error) {
-	sys := slambench.NewKFusion(cfg, seq)
-	runner := &slambench.Runner{}
-	sum, err := runner.Run(sys, seq)
+// simulatePair simulates the default and the tuned configuration.
+func simulatePair(seq dataset.Sequence, def, tuned kfusion.Config) (Trace, Trace, error) {
+	d, err := Simulate(seq, def)
 	if err != nil {
-		return nil, err
+		return Trace{}, Trace{}, fmt.Errorf("core: default configuration: %w", err)
 	}
-	return sum.Records, nil
-}
-
-func meanLatency(m *device.Model, records []slambench.FrameRecord) float64 {
-	if len(records) == 0 {
-		return 0
+	t, err := Simulate(seq, tuned)
+	if err != nil {
+		return Trace{}, Trace{}, fmt.Errorf("core: tuned configuration: %w", err)
 	}
-	total := 0.0
-	for _, r := range records {
-		total += m.ExecuteFrame(r.Cost, 1.0/30).Latency
-	}
-	return total / float64(len(records))
+	return d, t, nil
 }

@@ -155,6 +155,53 @@ func (m *Model) ExecuteFrame(c imgproc.Cost, period float64) FrameStats {
 	}
 }
 
+// Run executes the frames of one run back to back, one per sensor
+// period, and sums them into the run's figures. Every run-level device
+// number, measured live or replayed from a trace, comes from a Run.
+type Run struct {
+	Model  *Model
+	Period float64 // sensor period (seconds)
+
+	frames, met  int
+	busy, energy float64
+}
+
+// RunStats are a run's device figures: the mean per-frame latency
+// (seconds), the total energy with idle time included (joules), the
+// power over the run's window — n sensor periods, or the busy time when
+// the device fell behind (watts) — and the share of frames that met the
+// deadline.
+type RunStats struct {
+	MeanLatency, TotalEnergy, MeanPower, RealTimeFraction float64
+}
+
+// Execute runs the next frame (see ExecuteFrame) and adds it to the run.
+func (r *Run) Execute(c imgproc.Cost) FrameStats {
+	st := r.Model.ExecuteFrame(c, r.Period)
+	r.frames++
+	r.busy += st.Latency
+	r.energy += st.Energy
+	if st.MetDeadline {
+		r.met++
+	}
+	return st
+}
+
+// Stats summarises the frames executed so far; a run without frames
+// has zero stats.
+func (r *Run) Stats() RunStats {
+	if r.frames == 0 {
+		return RunStats{}
+	}
+	n := float64(r.frames)
+	return RunStats{
+		MeanLatency:      r.busy / n,
+		TotalEnergy:      r.energy,
+		MeanPower:        r.energy / max(n*r.Period, r.busy),
+		RealTimeFraction: float64(r.met) / n,
+	}
+}
+
 // FPS converts a per-frame latency into achievable frame rate.
 func FPS(latency float64) float64 {
 	if latency <= 0 {

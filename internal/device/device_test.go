@@ -152,3 +152,36 @@ func TestXU3DefaultVsTunedShape(t *testing.T) {
 		t.Fatalf("tuned config below real time on XU3 model: %v FPS", fTuned)
 	}
 }
+
+// TestRunWindow pins the run-level rule on a toy device: latencies and
+// energies sum, power divides by n sensor periods while the device keeps
+// up and by the busy time once it falls behind, and only frames within
+// the period meet the deadline.
+func TestRunWindow(t *testing.T) {
+	m := NewModel(Profile{
+		Name: "toy", GopsPeak: 1, BandwidthGBs: 1,
+		StaticWatts: 1, DynamicWatts: 1,
+	})
+	fast := imgproc.Cost{Ops: 0.5e9} // 0.5 s busy, 1 J + 0.5 J idle
+	slow := imgproc.Cost{Ops: 3e9}   // 3 s busy, 6 J
+
+	keepsUp := Run{Model: m, Period: 1}
+	keepsUp.Execute(fast)
+	keepsUp.Execute(fast)
+	if got, want := keepsUp.Stats(), (RunStats{MeanLatency: 0.5, TotalEnergy: 3, MeanPower: 1.5, RealTimeFraction: 1}); got != want {
+		t.Fatalf("run within its periods: %+v, want %+v", got, want)
+	}
+
+	behind := Run{Model: m, Period: 1}
+	behind.Execute(fast)
+	if st := behind.Execute(slow); st.MetDeadline {
+		t.Fatal("3 s frame met a 1 s deadline")
+	}
+	if got, want := behind.Stats(), (RunStats{MeanLatency: 1.75, TotalEnergy: 7.5, MeanPower: 7.5 / 3.5, RealTimeFraction: 0.5}); got != want {
+		t.Fatalf("run behind its periods: %+v, want %+v", got, want)
+	}
+
+	if got := (&Run{Model: m, Period: 1}).Stats(); got != (RunStats{}) {
+		t.Fatalf("empty run: %+v", got)
+	}
+}

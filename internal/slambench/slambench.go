@@ -115,14 +115,13 @@ func (r *Runner) Run(sys System, seq dataset.Sequence) (*Summary, error) {
 	est := &trajectory.Trajectory{}
 	gt := &trajectory.Trajectory{}
 	sum := &Summary{System: sys.Name(), Sequence: seq.Name(), Frames: seq.Len()}
+	run := device.Run{Model: r.Model, Period: period}
 	if r.Model != nil {
 		sum.Device = r.Model.Profile.Name + "/" + r.Model.Point.Name
 	}
 
 	tracked := 0
 	var wallTotal time.Duration
-	var simLatTotal, simEnergyTotal float64
-	rtFrames := 0
 
 	for i := 0; i < seq.Len(); i++ {
 		f, err := seq.Frame(i)
@@ -155,15 +154,10 @@ func (r *Runner) Run(sys System, seq dataset.Sequence) (*Summary, error) {
 			gt.Append(f.Time, f.GroundTruth)
 		}
 		if r.Model != nil {
-			st := r.Model.ExecuteFrame(out.Cost, period)
+			st := run.Execute(out.Cost)
 			rec.SimLatency = st.Latency
 			rec.SimEnergy = st.Energy
 			rec.SimPower = st.Power
-			simLatTotal += st.Latency
-			simEnergyTotal += st.Energy
-			if st.MetDeadline {
-				rtFrames++
-			}
 		}
 		if r.PerFrame != nil {
 			r.PerFrame(rec)
@@ -196,18 +190,14 @@ func (r *Runner) Run(sys System, seq dataset.Sequence) (*Summary, error) {
 	}
 
 	if r.Model != nil {
-		sum.SimMeanLatency = simLatTotal / float64(n)
+		st := run.Stats()
+		sum.SimMeanLatency = st.MeanLatency
 		if sum.SimMeanLatency > 0 {
 			sum.SimFPS = 1 / sum.SimMeanLatency
 		}
-		sum.SimTotalEnergy = simEnergyTotal
-		// Average power over the whole run: energy / max(walltime, n·period).
-		runSeconds := float64(n) * period
-		if simLatTotal > runSeconds {
-			runSeconds = simLatTotal
-		}
-		sum.SimMeanPower = simEnergyTotal / runSeconds
-		sum.SimRealTimeFraction = float64(rtFrames) / float64(n)
+		sum.SimTotalEnergy = st.TotalEnergy
+		sum.SimMeanPower = st.MeanPower
+		sum.SimRealTimeFraction = st.RealTimeFraction
 	}
 	return sum, nil
 }
