@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-compare bench-save campaign-smoke campaign-resume-smoke campaign-distributed-smoke campaign-cache-smoke campaign-transfer-smoke campaign-evalcache-smoke serve-smoke
+.PHONY: test race bench bench-compare bench-save campaign-smoke campaign-resume-smoke campaign-distributed-smoke campaign-cache-smoke campaign-transfer-smoke campaign-evalcache-smoke serve-smoke figures-smoke
 
 test:
 	go build ./... && go test ./...
@@ -106,3 +106,19 @@ campaign-evalcache-smoke:
 # prove it).
 serve-smoke:
 	./scripts/serve-smoke.sh
+
+# Determinism smoke test of the figure path: the quick experiments
+# report (E1–E7) at one and at two workers must be byte-identical apart
+# from its generation-time line.
+FIGURES_SMOKE_DIR := .figures-smoke
+figures-smoke:
+	rm -rf $(FIGURES_SMOKE_DIR)
+	mkdir -p $(FIGURES_SMOKE_DIR)
+	go build -o $(FIGURES_SMOKE_DIR)/experiments ./cmd/experiments
+	$(FIGURES_SMOKE_DIR)/experiments -quick -workers 1 -o $(FIGURES_SMOKE_DIR)/w1.md
+	$(FIGURES_SMOKE_DIR)/experiments -quick -workers 2 -o $(FIGURES_SMOKE_DIR)/w2.md
+	grep -v '^Total generation time' $(FIGURES_SMOKE_DIR)/w1.md > $(FIGURES_SMOKE_DIR)/w1.body
+	grep -v '^Total generation time' $(FIGURES_SMOKE_DIR)/w2.md > $(FIGURES_SMOKE_DIR)/w2.body
+	diff $(FIGURES_SMOKE_DIR)/w1.body $(FIGURES_SMOKE_DIR)/w2.body
+	rm -rf $(FIGURES_SMOKE_DIR)
+	@echo "figures-smoke: quick report byte-identical at -workers 1 and 2"

@@ -101,10 +101,14 @@ func BenchmarkAblation_MeshExtraction(b *testing.B) {
 func BenchmarkAblation_DecisionMachine(b *testing.B) {
 	scale := core.QuickScale()
 	scale.Frames = 10
+	seq, err := scale.Sequence()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunDecisionMachine(core.DefaultCandidates(), scale, 0.1, 42); err != nil {
+		if _, err := core.RunDecisionMachine(core.DefaultCandidates(), seq, 0.1, 42); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,10 @@
 // Command experiments regenerates every experiment of the reproduction
-// (E1-E6) and emits a Markdown report of measured results next to the
-// paper's claims.
+// (E1-E7) and emits a Markdown report of measured results next to the
+// paper's claims. It renders the sequence once and passes each
+// experiment's simulations on to the next: E5 replays E4's two traces
+// and E6 reuses E1's KinectFusion run.
 //
-//	go run ./cmd/experiments -o report.md                # full scale (~15 min)
+//	go run ./cmd/experiments -o report.md                # full scale (~2 min on 2 cores)
 //	go run ./cmd/experiments -quick -o /tmp/report.md    # reduced scale
 package main
 
@@ -112,6 +114,10 @@ func main() {
 		scale = core.QuickScale()
 	}
 	start := time.Now()
+	seq, err := scale.Sequence()
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Fprintf(w, "# EXPERIMENTS — measured vs paper\n\n")
 	fmt.Fprintf(w, "Generated by `go run ./cmd/experiments%s` (seed %d).\n\n",
 		map[bool]string{true: " -quick", false: ""}[spec.Quick], spec.Seed)
@@ -123,7 +129,7 @@ func main() {
 
 	// ---- E1 / Fig 1 ----
 	eprint("E1 (Fig 1): default-configuration run")
-	fig1, err := core.RunFig1(scale)
+	fig1, err := core.RunFig1(seq)
 	if err != nil {
 		fatal(err)
 	}
@@ -140,7 +146,6 @@ func main() {
 	// ---- E2+E3 / Fig 2 ----
 	eprint("E2+E3 (Fig 2): design-space exploration")
 	opts := core.DefaultFig2Options()
-	opts.Scale = scale
 	opts.RandomSamples = spec.RandomSamples
 	opts.ActiveIterations = spec.ActiveIterations
 	opts.BatchPerIteration = spec.BatchPerIteration
@@ -151,7 +156,7 @@ func main() {
 	if spec.Quick {
 		opts.AccuracyLimit = 0.08
 	}
-	fig2, err := core.RunFig2(opts)
+	fig2, err := core.RunFig2(seq, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -204,7 +209,7 @@ func main() {
 
 	// ---- E4 / headline ----
 	eprint("E4: headline default-vs-tuned")
-	head, err := core.RunHeadline(fig2, scale)
+	head, err := core.RunHeadline(fig2, seq)
 	if err != nil {
 		fatal(err)
 	}
@@ -234,7 +239,7 @@ func main() {
 
 	// ---- E5 / Fig 3 ----
 	eprint("E5 (Fig 3): 83-phone sweep")
-	fig3, err := core.RunFig3(head.TunedConfig, scale, 42)
+	fig3, err := core.RunFig3(head.DefaultTrace, head.TunedTrace, phoneSeed)
 	if err != nil {
 		fatal(err)
 	}
@@ -263,11 +268,11 @@ func main() {
 
 	// ---- E6 / baseline ----
 	eprint("E6: cross-algorithm baseline")
-	base, err := core.RunBaseline(scale, 0)
+	odo, err := core.RunBaseline(seq)
 	if err != nil {
 		fatal(err)
 	}
-	kf, odo := base.KFusion[0], base.Odometry[0]
+	kf := fig1.Summary
 	fmt.Fprintf(w, "## E6 — cross-algorithm comparison (methodology)\n\n")
 	fmt.Fprintf(w, "SLAMBench's purpose: compare SLAM systems on identical data and\nmetrics. KinectFusion (model-based) vs frame-to-frame ICP odometry:\n\n")
 	fmt.Fprintf(w, "| system | max ATE | RMSE ATE | sim FPS | sim W |\n|---|---|---|---|---|\n")
@@ -278,12 +283,42 @@ func main() {
 	fmt.Fprintf(w, "Shape check: odometry is cheaper but drifts more (%.4f m vs %.4f m\nRMSE); the map buys accuracy for compute. %s\n\n",
 		odo.ATE.RMSE, kf.ATE.RMSE, check(odo.ATE.RMSE >= kf.ATE.RMSE))
 
+	// ---- E7 / decision machine ----
+	eprint("E7: per-device decision machine")
+	dm, err := core.RunDecisionMachine(core.DefaultCandidates(), seq, fig2.AccuracyLimit, phoneSeed)
+	if err != nil {
+		fatal(err)
+	}
+	shares := map[int]int{}
+	for _, c := range dm.Choices {
+		shares[c.Choice]++
+	}
+	fmt.Fprintf(w, "## E7 — per-device decision machine (the paper's future work)\n\n")
+	fmt.Fprintf(w, "Paper: closes with the plan to \"train a decision machine for mobile\nphones\" from the crowdsourced data, recommending a configuration per\ndevice. Each candidate is simulated once and replayed on every phone;\na phone gets the highest-quality candidate within the accuracy limit\n(%.2g m) that sustains 30 FPS, else the fastest one within it.\n\n", fig2.AccuracyLimit)
+	fmt.Fprintf(w, "| candidate | vr | csr | ir | max ATE | devices |\n|---|---|---|---|---|---|\n")
+	for i, c := range dm.Candidates {
+		fmt.Fprintf(w, "| %s | %d | %d | %d | %.3f m | %d |\n", c.Name,
+			c.Config.VolumeResolution, c.Config.ComputeSizeRatio, c.Config.IntegrationRate,
+			dm.CandidateATE[i], shares[i])
+	}
+	if n := shares[-1]; n > 0 {
+		fmt.Fprintf(w, "| no feasible candidate | | | | | %d |\n", n)
+	}
+	fmt.Fprintf(w, "\nDecision tree over device features (training accuracy %.0f%%):\n\n```\n", dm.TrainAccuracy*100)
+	for _, r := range dm.Rules {
+		fmt.Fprintln(w, r)
+	}
+	fmt.Fprintf(w, "```\n\n")
+
 	fmt.Fprintf(w, "---\nTotal generation time: %s.\n", time.Since(start).Round(time.Second))
 	if err := w.Close(); err != nil {
 		fatal(err)
 	}
 	eprint("done")
 }
+
+// phoneSeed draws the 83-phone catalogue E5 and E7 replay on.
+const phoneSeed = 42
 
 func bestFeasibleOf(obs []hypermapper.Observation, limit float64) (float64, bool) {
 	best := 0.0

@@ -6,7 +6,7 @@
 // its algorithmic parameters, and the mobile-device performance study.
 //
 // The implementation lives under internal/, one package per layer of the
-// system. cmd/experiments regenerates every experiment (E1–E6) and
+// system. cmd/experiments regenerates every experiment (E1–E7) and
 // writes the measured-vs-paper report (`go run ./cmd/experiments -quick
 // -o report.md`); the benchmarks in bench_test.go regenerate every
 // figure-level experiment.
@@ -32,7 +32,7 @@
 // a byte-identical Result — every observation and the final Pareto
 // front — for any setting of the Workers knob (OptimizerConfig.Workers
 // and rf.ForestConfig.Workers; 0 means GOMAXPROCS, 1 is fully serial;
-// cmd/hypermapper and cmd/experiments expose it as -workers).
+// cmd/experiments exposes it as -workers).
 //
 // # Surrogate inference and the evaluation ladder
 //
@@ -62,8 +62,8 @@
 // only the top-ranked fraction to full-fidelity runs; both rungs are
 // memoized and the promotion ranking breaks ties by batch position, so
 // the ladder keeps the workers-independence guarantee
-// (cmd/hypermapper and cmd/experiments expose it as -mf-stride and
-// -mf-promote; stride ≤ 1 leaves every run at full fidelity).
+// (cmd/experiments exposes it as -mf-stride and -mf-promote; stride ≤ 1
+// leaves every run at full fidelity).
 // Budget accounting is denominated in full-fidelity simulations: the
 // same-budget random baseline of RunFig2 receives exactly as many full
 // runs as the ladder promoted (MultiFidelity.Stats), never one per
@@ -87,9 +87,13 @@
 // total energy, power over max(n·period, busy time), the share of
 // frames that met the deadline) that slambench.Runner uses for live
 // runs too. So the headline simulates two configurations and replays
-// the tuned one at each XU3 operating point, Fig. 3 replays two traces
-// on 83 phones, and the decision machine simulates each candidate once;
-// core.Evaluate is a simulation replayed on one model.
+// the tuned one at each XU3 operating point, Fig. 3 replays the
+// headline's two traces on 83 phones, and the decision machine
+// simulates each candidate once; core.Evaluate is a simulation replayed
+// on one model. The figure path renders its sequence once: every
+// core.Run* entry point takes the rendered dataset.Sequence, and
+// cmd/experiments passes each experiment's work on (E5 replays E4's
+// traces, E6 sets its odometry run beside E1's KinectFusion run).
 //
 // One simulation (a configuration run over a sequence, core.Evaluate) is
 // the unit every exploration pays for, and four mechanisms keep it
@@ -307,10 +311,11 @@
 // At campaign scale the Explore stage becomes two waves. Wave 1 runs
 // the grid-diagonal anchor cells (scenario i anchors at target i mod
 // nTargets) exactly as a transfer-off campaign would — same seeds, same
-// artifact names — and publishes each anchor's observation log as a
-// content-addressed obslog artifact. Wave 2 runs every remaining cell
-// as a borrower warm-started from a fixed donor set (its same-scenario
-// anchor first, then its same-device anchors): donor front winners are
+// artifact names — so every process holds each anchor's observation log
+// in its exploration artifact (computed, or loaded on resume) before
+// wave 2 starts. Wave 2 runs every remaining cell as a borrower
+// warm-started from a fixed donor set (its same-scenario anchor first,
+// then its same-device anchors): donor front winners are
 // interleaved round-robin into a hypermapper.WarmStartSeeder that
 // spends most of a slashed seeding budget (TransferSeeds, default 3)
 // on exact donor replays and clamped neighbourhood draws, and the

@@ -13,8 +13,11 @@ import (
 )
 
 func main() {
+	seq, err := core.Scale{Width: 160, Height: 120, Frames: 24, Noisy: true, Seed: 42}.Sequence()
+	if err != nil {
+		log.Fatal(err)
+	}
 	opts := core.DefaultFig2Options()
-	opts.Scale = core.Scale{Width: 160, Height: 120, Frames: 24, Noisy: true, Seed: 42}
 	opts.RandomSamples = 12
 	opts.ActiveIterations = 3
 	opts.BatchPerIteration = 3
@@ -22,7 +25,7 @@ func main() {
 	opts.Log = func(s string) { fmt.Println("  [dse]", s) }
 
 	fmt.Println("exploring the KinectFusion parameter space on the XU3 model…")
-	fig2, err := core.RunFig2(opts)
+	fig2, err := core.RunFig2(seq, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,14 +19,27 @@ import (
 )
 
 func main() {
-	scale := core.Scale{Width: 160, Height: 120, Frames: 24, Noisy: true, Seed: 42}
+	seq, err := core.Scale{Width: 160, Height: 120, Frames: 24, Noisy: true, Seed: 42}.Sequence()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	tuned := kfusion.DefaultConfig()
 	tuned.VolumeResolution = 96
 	tuned.ComputeSizeRatio = 4
 	tuned.IntegrationRate = 2
 
-	fig3, err := core.RunFig3(tuned, scale, 42)
+	// Simulate each configuration once; the sweep replays the traces on
+	// every phone.
+	defTrace, err := core.Simulate(seq, kfusion.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	tunedTrace, err := core.Simulate(seq, tuned)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fig3, err := core.RunFig3(defTrace, tunedTrace, 42)
 	if err != nil {
 		log.Fatal(err)
 	}

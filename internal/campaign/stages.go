@@ -402,9 +402,6 @@ func (r *runner) explore() error {
 	if err := r.exploreWave(r.anchors, fidelity); err != nil {
 		return err
 	}
-	if err := r.publishObsLogs(fidelity); err != nil {
-		return err
-	}
 	var borrowers []int
 	for i := range r.cells {
 		if r.donors[i] != nil {
@@ -607,7 +604,7 @@ func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) 
 	transferBorrower := false
 	if donors := r.transferDonors(cell, fidelity); donors != nil {
 		transferBorrower = true
-		donorSets, donorPoints, labels := r.donorData(cell, fidelity, donors)
+		donorSets, donorPoints, labels := r.donorData(fidelity, donors)
 		if len(donorPoints) > 0 {
 			transferDonors, transferSeeds = labels, len(donorPoints)
 			opts.RandomSamples = r.opts.TransferSeeds

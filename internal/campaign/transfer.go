@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"slamgo/internal/hypermapper"
@@ -13,8 +11,7 @@ import (
 // one flat fan-out:
 //
 //	wave 1  anchor cells — the grid diagonal — explore from scratch,
-//	        exactly as a transfer-off campaign would, and publish their
-//	        observation logs as obslog artifacts;
+//	        exactly as a transfer-off campaign would;
 //	wave 2  every remaining cell (a borrower) warm-starts from a fixed
 //	        donor set drawn from the anchors: its same-scenario anchor
 //	        plus its same-device anchors. Donor winners concentrate the
@@ -137,65 +134,6 @@ func (r *runner) exploreFidelity() string {
 	return FidelityFull
 }
 
-// obsLogArtifact is the persisted per-cell observation log — the
-// content-addressed artifact kind borrowers read donor knowledge
-// through. It duplicates the exploration artifact's observation slice
-// under a donor-facing key so transfer consumers never couple to the
-// exploration artifact schema, and records the fidelity so a
-// full-fidelity borrower can never ingest a screening log.
-type obsLogArtifact struct {
-	Scenario     string                    `json:"scenario"`
-	Device       string                    `json:"device"`
-	Fidelity     string                    `json:"fidelity"`
-	Observations []hypermapper.Observation `json:"observations"`
-}
-
-// obsLogName keys a cell's observation log on everything that
-// determines its bytes: the cell spec, seed and exploration options —
-// the same inputs as the exploration artifact, under the obslog kind.
-func (r *runner) obsLogName(cell Cell, fidelity string) string {
-	o := r.opts
-	h := sha256.New()
-	fmt.Fprintf(h, "v%d|obslog|%s|", storeVersion, fidelity)
-	fmt.Fprintf(h, "scenario=%s|scale=%+v|target=%+v|", cell.Scenario.Name, cell.Scenario.Scale, cell.Target)
-	fmt.Fprintf(h, "seed=%d|cellseed=%d|", o.Seed, cellSeed(o.Seed, cell.Index))
-	fmt.Fprintf(h, "explore=%d/%d/%d|limit=%g|",
-		o.RandomSamples, o.ActiveIterations, o.BatchPerIteration, o.AccuracyLimit)
-	if fidelity == FidelityScreen {
-		fmt.Fprintf(h, "cellstride=%d|", o.CellStride)
-	} else {
-		fmt.Fprintf(h, "mf=%d/%g|", o.FidelityStride, o.PromoteFraction)
-	}
-	return fmt.Sprintf("obslog-c%03d-%s", cell.Index, hex.EncodeToString(h.Sum(nil))[:16])
-}
-
-// publishObsLogs persists every anchor's observation log after wave 1.
-// Logs are deterministic artifact content, so concurrent writers from
-// cooperating processes produce identical bytes (the store's atomic
-// rename makes the race harmless); a quarantined anchor publishes its
-// (empty) log too, so resumed borrowers see the same degraded donor set
-// everywhere. Store faults abort like any other checkpoint fault.
-func (r *runner) publishObsLogs(fidelity string) error {
-	if r.store == nil {
-		return nil
-	}
-	for _, idx := range r.anchors {
-		art := r.waveArtifact(idx, fidelity)
-		cell := r.cells[idx]
-		log := obsLogArtifact{
-			Scenario:     art.Scenario,
-			Device:       art.Device,
-			Fidelity:     fidelity,
-			Observations: art.Observations,
-		}
-		if err := r.store.Save(r.obsLogName(cell, fidelity), log); err != nil {
-			return fmt.Errorf("campaign: publishing observation log of cell %s/%s: %w",
-				cell.Scenario.Name, cell.Target.Name, err)
-		}
-	}
-	return nil
-}
-
 // waveArtifact returns the cell's explore-wave artifact (screening
 // slot when the cell ladder is on, final slot otherwise).
 func (r *runner) waveArtifact(idx int, fidelity string) *cellArtifact {
@@ -210,28 +148,20 @@ func (r *runner) waveArtifact(idx int, fidelity string) *cellArtifact {
 // donor, so normalisation stays per-cell), the borrowed seed points
 // (each donor's best feasible configuration first, then its leading
 // front members, deduplicated in donor order), and the labels of the
-// donors that actually contributed. Donor logs are read from the store
-// (the obslog artifact kind) when one is available, falling back to the
-// wave-1 in-memory artifact — both carry the identical deterministic
-// observation slice, so the source never shows in the results.
-// Quarantined donors and donors with no usable full-fidelity
+// donors that actually contributed. Donor logs are the observations of
+// the anchors' wave-1 artifacts, which every process holds in memory
+// (computed, or loaded from the store on resume) before any borrower
+// starts. Quarantined donors and donors with no usable full-fidelity
 // observations contribute nothing; with every donor empty the borrower
 // degrades to exploring from scratch.
-func (r *runner) donorData(cell Cell, fidelity string, donors []int) (sets [][]hypermapper.Observation, points []hypermapper.Point, labels []string) {
+func (r *runner) donorData(fidelity string, donors []int) (sets [][]hypermapper.Observation, points []hypermapper.Point, labels []string) {
 	var perDonor [][]hypermapper.Point
 	for _, idx := range donors {
 		art := r.waveArtifact(idx, fidelity)
 		if art == nil || art.Failed {
 			continue
 		}
-		obs := art.Observations
-		// A missing or faulted log is not an error: the in-memory
-		// artifact carries the same observations.
-		var log obsLogArtifact
-		if ok, err := r.load(r.obsLogName(r.cells[idx], fidelity), &log); err == nil && ok && log.Fidelity == fidelity {
-			obs = log.Observations
-		}
-		usable := hypermapper.FullObservations(obs)
+		usable := hypermapper.FullObservations(art.Observations)
 		if len(usable) == 0 {
 			continue
 		}

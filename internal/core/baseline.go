@@ -3,68 +3,15 @@ package core
 import (
 	"slamgo/internal/dataset"
 	"slamgo/internal/device"
-	"slamgo/internal/kfusion"
 	"slamgo/internal/odometry"
 	"slamgo/internal/slambench"
 )
 
-// BaselineResult is the E6 cross-algorithm comparison: KinectFusion's
-// model-based tracking against frame-to-frame ICP odometry on the same
-// sequences — the "comparison across algorithms" role of SLAMBench.
-type BaselineResult struct {
-	KFusion  []*slambench.Summary
-	Odometry []*slambench.Summary
-}
-
-// RunBaseline benchmarks both systems over the given kt sequences at the
-// scale. Empty kts defaults to {0}.
-func RunBaseline(scale Scale, kts ...int) (*BaselineResult, error) {
-	if len(kts) == 0 {
-		kts = []int{0}
-	}
-	model := device.NewModel(device.OdroidXU3())
-	runner := &slambench.Runner{Model: model}
-
-	var seqs []dataset.Sequence
-	for _, kt := range kts {
-		s := scale
-		s.KT = kt
-		seq, err := s.Sequence()
-		if err != nil {
-			return nil, err
-		}
-		seqs = append(seqs, seq)
-	}
-
-	res := &BaselineResult{}
-	suiteKF := &slambench.Suite{
-		Runner: runner,
-		Systems: []slambench.SuiteEntry{{
-			Name: "kfusion",
-			Make: func(seq dataset.Sequence) slambench.System {
-				return slambench.NewKFusion(kfusion.DefaultConfig(), seq)
-			},
-		}},
-	}
-	kf, err := suiteKF.Run(seqs...)
-	if err != nil {
-		return nil, err
-	}
-	res.KFusion = kf
-
-	suiteOdo := &slambench.Suite{
-		Runner: runner,
-		Systems: []slambench.SuiteEntry{{
-			Name: "odometry",
-			Make: func(seq dataset.Sequence) slambench.System {
-				return slambench.NewOdometry(odometry.DefaultConfig(), seq)
-			},
-		}},
-	}
-	odo, err := suiteOdo.Run(seqs...)
-	if err != nil {
-		return nil, err
-	}
-	res.Odometry = odo
-	return res, nil
+// RunBaseline benchmarks the E6 baseline system, frame-to-frame ICP
+// odometry, on seq over the XU3 model. E6 sets it beside RunFig1's
+// KinectFusion run of the same sequence on the same model: the
+// "comparison across algorithms" role of SLAMBench.
+func RunBaseline(seq dataset.Sequence) (*slambench.Summary, error) {
+	runner := &slambench.Runner{Model: device.NewModel(device.OdroidXU3())}
+	return runner.Run(slambench.NewOdometry(odometry.DefaultConfig(), seq), seq)
 }

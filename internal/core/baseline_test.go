@@ -1,18 +1,24 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"slamgo/internal/dataset"
+)
 
 func TestRunBaseline(t *testing.T) {
 	scale := QuickScale()
 	scale.Frames = 12
-	res, err := RunBaseline(scale, 0)
+	seq := render(t, scale)
+	fig1, err := RunFig1(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.KFusion) != 1 || len(res.Odometry) != 1 {
-		t.Fatalf("summaries: kf=%d odo=%d", len(res.KFusion), len(res.Odometry))
+	odo, err := RunBaseline(seq)
+	if err != nil {
+		t.Fatal(err)
 	}
-	kf, odo := res.KFusion[0], res.Odometry[0]
+	kf := fig1.Summary
 	if kf.TrackedFraction < 0.9 {
 		t.Fatalf("kfusion lost tracking: %v", kf.TrackedFraction)
 	}
@@ -29,7 +35,11 @@ func TestRunBaseline(t *testing.T) {
 
 func TestRunBaselineBadSequence(t *testing.T) {
 	scale := QuickScale()
-	if _, err := RunBaseline(scale, 9); err == nil {
+	scale.KT = 9
+	if _, err := scale.Sequence(); err == nil {
 		t.Fatal("invalid kt accepted")
+	}
+	if _, err := RunBaseline(&dataset.MemorySequence{SeqName: "empty"}); err == nil {
+		t.Fatal("empty sequence accepted")
 	}
 }

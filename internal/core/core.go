@@ -1,7 +1,8 @@
 // Package core wires the whole reproduction together: it defines the
 // paper's design space over KinectFusion's algorithmic parameters, the
 // evaluator that runs the real pipeline on the modelled device, and one
-// entry point per figure/claim of the paper:
+// entry point per figure/claim of the paper, each on a sequence the
+// caller renders once:
 //
 //   - Fig1: run the default configuration and collect the GUI metrics.
 //   - Fig2: random sampling + active learning over the design space
@@ -9,8 +10,8 @@
 //     extraction (right pane).
 //   - Headline: default vs tuned configuration on the ODROID-XU3 model —
 //     the 4.8× execution-time and 2.8× power improvements.
-//   - Fig3: the tuned configuration replayed across the 83-phone
-//     catalogue, reported as per-device speed-ups.
+//   - Fig3: the headline's default and tuned traces replayed across the
+//     83-phone catalogue, reported as per-device speed-ups.
 package core
 
 import (

@@ -143,7 +143,7 @@ func TestComputeSizeRatioTradeoffShape(t *testing.T) {
 
 func TestRunFig1(t *testing.T) {
 	scale := QuickScale()
-	res, err := RunFig1(scale)
+	res, err := RunFig1(render(t, scale))
 	if err != nil {
 		t.Fatal(err)
 	}

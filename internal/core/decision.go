@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"slamgo/internal/dataset"
 	"slamgo/internal/device"
 	"slamgo/internal/kfusion"
 	"slamgo/internal/phones"
@@ -77,21 +78,18 @@ func deviceFeatureNames() []string {
 	return []string{"gops", "bandwidth_gbs", "overhead_ms", "year"}
 }
 
-// RunDecisionMachine simulates each candidate once (accuracy and
+// RunDecisionMachine simulates each candidate once on seq (accuracy and
 // per-frame costs are device-independent), replays the traces on every
-// phone to pick its best candidate (fastest meeting the accuracy limit,
-// preferring the highest-quality config that still sustains the sensor
-// rate), and fits a decision tree over device features.
-func RunDecisionMachine(candidates []CandidateConfig, scale Scale, ateLimit float64, seed int64) (*DecisionMachine, error) {
+// phone of the catalogue drawn from seed to pick its best candidate
+// (fastest meeting the accuracy limit, preferring the highest-quality
+// config that still sustains the sensor rate), and fits a decision tree
+// over device features.
+func RunDecisionMachine(candidates []CandidateConfig, seq dataset.Sequence, ateLimit float64, seed int64) (*DecisionMachine, error) {
 	if len(candidates) < 2 {
 		return nil, errors.New("core: decision machine needs ≥2 candidates")
 	}
 	if ateLimit <= 0 {
 		ateLimit = 0.05
-	}
-	seq, err := scale.Sequence()
-	if err != nil {
-		return nil, err
 	}
 
 	dm := &DecisionMachine{Candidates: candidates}

@@ -10,7 +10,7 @@ import (
 func TestRunDecisionMachine(t *testing.T) {
 	scale := QuickScale()
 	scale.Frames = 12
-	dm, err := RunDecisionMachine(DefaultCandidates(), scale, 0.1, 42)
+	dm, err := RunDecisionMachine(DefaultCandidates(), render(t, scale), 0.1, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +57,10 @@ func TestRunDecisionMachine(t *testing.T) {
 }
 
 func TestRunDecisionMachineValidation(t *testing.T) {
-	if _, err := RunDecisionMachine(nil, QuickScale(), 0.05, 1); err == nil {
+	if _, err := RunDecisionMachine(nil, nil, 0.05, 1); err == nil {
 		t.Fatal("no candidates accepted")
 	}
-	if _, err := RunDecisionMachine(DefaultCandidates()[:1], QuickScale(), 0.05, 1); err == nil {
+	if _, err := RunDecisionMachine(DefaultCandidates()[:1], nil, 0.05, 1); err == nil {
 		t.Fatal("single candidate accepted")
 	}
 }

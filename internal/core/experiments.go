@@ -21,15 +21,10 @@ type Fig1Result struct {
 	Summary *slambench.Summary
 }
 
-// RunFig1 benchmarks the default configuration on the scale's sequence
-// over the XU3 model.
-func RunFig1(scale Scale) (*Fig1Result, error) {
-	seq, err := scale.Sequence()
-	if err != nil {
-		return nil, err
-	}
-	model := device.NewModel(device.OdroidXU3())
-	runner := &slambench.Runner{Model: model}
+// RunFig1 benchmarks the default configuration on seq over the XU3
+// model.
+func RunFig1(seq dataset.Sequence) (*Fig1Result, error) {
+	runner := &slambench.Runner{Model: device.NewModel(device.OdroidXU3())}
 	sum, err := runner.Run(slambench.NewKFusion(kfusion.DefaultConfig(), seq), seq)
 	if err != nil {
 		return nil, err
@@ -39,7 +34,6 @@ func RunFig1(scale Scale) (*Fig1Result, error) {
 
 // Fig2Options parameterise the DSE experiment.
 type Fig2Options struct {
-	Scale Scale
 	// RandomSamples / ActiveIterations / BatchPerIteration budget the
 	// optimizer; zero keeps hypermapper.DefaultOptimizerConfig's value,
 	// whatever the scale.
@@ -66,7 +60,6 @@ type Fig2Options struct {
 // DefaultFig2Options returns the standard experiment setup.
 func DefaultFig2Options() Fig2Options {
 	return Fig2Options{
-		Scale:             DefaultScale(),
 		RandomSamples:     20,
 		ActiveIterations:  5,
 		BatchPerIteration: 4,
@@ -113,14 +106,10 @@ type Fig2Result struct {
 	AccuracyLimit float64
 }
 
-// RunFig2 executes the full DSE experiment.
-func RunFig2(opts Fig2Options) (*Fig2Result, error) {
+// RunFig2 executes the full DSE experiment on seq.
+func RunFig2(seq dataset.Sequence, opts Fig2Options) (*Fig2Result, error) {
 	if opts.AccuracyLimit <= 0 {
 		opts.AccuracyLimit = 0.05
-	}
-	seq, err := opts.Scale.Sequence()
-	if err != nil {
-		return nil, err
 	}
 	space := DSESpace()
 
@@ -240,34 +229,39 @@ type HeadlineResult struct {
 	TunedConfig        kfusion.Config
 	TunedFPS           float64
 	TunedMeetsRealTime bool
+	// DefaultTrace and TunedTrace are the two simulations every number
+	// above replays; RunFig3 replays them on the phone catalogue.
+	DefaultTrace, TunedTrace Trace
 }
 
-// RunHeadline derives the headline numbers from a Fig2 exploration. It
-// simulates the default and the tuned configuration once each and
-// replays the tuned one at every XU3 operating point.
-func RunHeadline(fig2 *Fig2Result, scale Scale) (*HeadlineResult, error) {
+// RunHeadline derives the headline numbers from a Fig2 exploration of
+// seq. It simulates the default and the tuned configuration once each
+// and replays the tuned one at every XU3 operating point.
+func RunHeadline(fig2 *Fig2Result, seq dataset.Sequence) (*HeadlineResult, error) {
 	if !fig2.HasBestFeasible {
 		return nil, fmt.Errorf("core: exploration found no configuration with max ATE ≤ %.3f", fig2.AccuracyLimit)
-	}
-	seq, err := scale.Sequence()
-	if err != nil {
-		return nil, err
 	}
 	tunedCfg, err := ConfigFromPoint(fig2.Space, fig2.BestFeasible.X)
 	if err != nil {
 		return nil, err
 	}
-	def, tuned, err := simulatePair(seq, kfusion.DefaultConfig(), tunedCfg)
+	def, err := Simulate(seq, kfusion.DefaultConfig())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: default configuration: %w", err)
+	}
+	tuned, err := Simulate(seq, tunedCfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: tuned configuration: %w", err)
 	}
 
 	nominal := device.NewModel(device.OdroidXU3())
 	res := &HeadlineResult{
-		Default:     def.Replay(nominal),
-		TunedPerf:   tuned.Replay(nominal),
-		TunedConfig: tunedCfg,
-		TunedPoint:  "nominal",
+		Default:      def.Replay(nominal),
+		TunedPerf:    tuned.Replay(nominal),
+		TunedConfig:  tunedCfg,
+		TunedPoint:   "nominal",
+		DefaultTrace: def,
+		TunedTrace:   tuned,
 	}
 	res.TunedLowPower = res.TunedPerf
 
@@ -317,19 +311,10 @@ type Fig3Result struct {
 	Mean, Median, Min, Max float64
 }
 
-// RunFig3 replays the default and tuned configurations across the
-// 83-phone catalogue: each configuration is simulated once, and each
-// phone model replays the two traces.
-func RunFig3(tuned kfusion.Config, scale Scale, seed int64) (*Fig3Result, error) {
-	seq, err := scale.Sequence()
-	if err != nil {
-		return nil, err
-	}
-	defTrace, tunedTrace, err := simulatePair(seq, kfusion.DefaultConfig(), tuned)
-	if err != nil {
-		return nil, err
-	}
-
+// RunFig3 replays the default and the tuned configuration's traces
+// (HeadlineResult.DefaultTrace and TunedTrace) on every phone of the
+// 83-phone catalogue drawn from seed; it simulates nothing.
+func RunFig3(defTrace, tunedTrace Trace, seed int64) (*Fig3Result, error) {
 	res := &Fig3Result{Min: math.Inf(1), Max: math.Inf(-1)}
 	// Each phone's replay is independent: fan the catalogue out across
 	// the worker pool and aggregate in catalogue order.
@@ -372,17 +357,4 @@ func RunFig3(tuned kfusion.Config, scale Scale, seed int64) (*Fig3Result, error)
 	res.Mean /= float64(len(speeds))
 	res.Median = speeds[len(speeds)/2]
 	return res, nil
-}
-
-// simulatePair simulates the default and the tuned configuration.
-func simulatePair(seq dataset.Sequence, def, tuned kfusion.Config) (Trace, Trace, error) {
-	d, err := Simulate(seq, def)
-	if err != nil {
-		return Trace{}, Trace{}, fmt.Errorf("core: default configuration: %w", err)
-	}
-	t, err := Simulate(seq, tuned)
-	if err != nil {
-		return Trace{}, Trace{}, fmt.Errorf("core: tuned configuration: %w", err)
-	}
-	return d, t, nil
 }

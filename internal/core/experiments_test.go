@@ -3,21 +3,30 @@ package core
 import (
 	"testing"
 
+	"slamgo/internal/dataset"
 	"slamgo/internal/hypermapper"
-	"slamgo/internal/kfusion"
 )
 
-// fig2Quick runs a small but real DSE (shared across the experiment
-// tests to amortise its cost).
-func fig2Quick(t *testing.T) *Fig2Result {
+// render renders the scale's sequence.
+func render(t *testing.T, s Scale) dataset.Sequence {
+	t.Helper()
+	seq, err := s.Sequence()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
+// fig2Quick runs a small but real DSE on seq (shared across the
+// experiment tests to amortise its cost).
+func fig2Quick(t *testing.T, seq dataset.Sequence) *Fig2Result {
 	t.Helper()
 	opts := DefaultFig2Options()
-	opts.Scale = QuickScale()
 	opts.RandomSamples = 8
 	opts.ActiveIterations = 2
 	opts.BatchPerIteration = 2
 	opts.AccuracyLimit = 0.08 // quick-scale sequences are short; be lenient
-	res, err := RunFig2(opts)
+	res, err := RunFig2(seq, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +34,8 @@ func fig2Quick(t *testing.T) *Fig2Result {
 }
 
 func TestFig2AndHeadlineAndFig3(t *testing.T) {
-	fig2 := fig2Quick(t)
+	seq := render(t, QuickScale())
+	fig2 := fig2Quick(t, seq)
 
 	// --- Fig 2 structural checks.
 	if len(fig2.Active.Observations) < 8 {
@@ -69,7 +79,7 @@ func TestFig2AndHeadlineAndFig3(t *testing.T) {
 	}
 
 	// --- Headline: tuned must be faster than default, and accurate.
-	head, err := RunHeadline(fig2, QuickScale())
+	head, err := RunHeadline(fig2, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +94,7 @@ func TestFig2AndHeadlineAndFig3(t *testing.T) {
 	}
 
 	// --- Fig 3: phone sweep over the tuned configuration.
-	fig3, err := RunFig3(head.TunedConfig, QuickScale(), 42)
+	fig3, err := RunFig3(head.DefaultTrace, head.TunedTrace, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +123,13 @@ func TestFig2AndHeadlineAndFig3(t *testing.T) {
 // runs, so the old accounting inflated the baseline's budget).
 func TestFig2LadderBaselineBudget(t *testing.T) {
 	opts := DefaultFig2Options()
-	opts.Scale = QuickScale()
 	opts.RandomSamples = 8
 	opts.ActiveIterations = 2
 	opts.BatchPerIteration = 2
 	opts.AccuracyLimit = 0.08
 	opts.FidelityStride = 2
 	opts.PromoteFraction = 0.25
-	res, err := RunFig2(opts)
+	res, err := RunFig2(render(t, QuickScale()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +160,7 @@ func TestFig2LadderBaselineBudget(t *testing.T) {
 
 func TestRunHeadlineRequiresFeasible(t *testing.T) {
 	fig2 := &Fig2Result{AccuracyLimit: 0.05}
-	if _, err := RunHeadline(fig2, QuickScale()); err == nil {
+	if _, err := RunHeadline(fig2, nil); err == nil {
 		t.Fatal("headline without feasible config accepted")
 	}
 }
@@ -159,8 +168,11 @@ func TestRunHeadlineRequiresFeasible(t *testing.T) {
 func TestRunFig3RejectsEmptySequence(t *testing.T) {
 	bad := QuickScale()
 	bad.KT = 9
-	if _, err := RunFig3(kfusion.DefaultConfig(), bad, 1); err == nil {
+	if _, err := bad.Sequence(); err == nil {
 		t.Fatal("invalid scale accepted")
+	}
+	if _, err := RunFig3(Trace{}, Trace{}, 1); err == nil {
+		t.Fatal("traces of no frames accepted")
 	}
 }
 
@@ -169,7 +181,7 @@ func TestFig2OptionsDefaults(t *testing.T) {
 	if opts.AccuracyLimit != 0.05 {
 		t.Fatalf("accuracy limit %v", opts.AccuracyLimit)
 	}
-	if opts.Scale.Frames == 0 || opts.RandomSamples == 0 {
+	if opts.RandomSamples == 0 {
 		t.Fatal("incomplete defaults")
 	}
 }

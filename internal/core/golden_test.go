@@ -222,18 +222,21 @@ func TestHeadlineXU3Golden(t *testing.T) {
 	}
 }
 
-// TestRunHeadlineGolden pins RunHeadline bit for bit on a hand-built
-// feasible exploration at quick scale whose best configuration is the
-// benchmarks' tuned one.
-func TestRunHeadlineGolden(t *testing.T) {
-	space := DSESpace()
-	fig2 := &Fig2Result{
-		Space:           space,
+// goldenFig2 is a hand-built feasible exploration whose best
+// configuration is the benchmarks' tuned one.
+func goldenFig2() *Fig2Result {
+	return &Fig2Result{
+		Space:           DSESpace(),
 		BestFeasible:    hypermapper.Observation{X: hypermapper.Point{128, 2, 0.1, 1e-5, 4, 3, 3, 2, 1}},
 		HasBestFeasible: true,
 		AccuracyLimit:   0.08,
 	}
-	head, err := RunHeadline(fig2, QuickScale())
+}
+
+// TestRunHeadlineGolden pins RunHeadline bit for bit on goldenFig2 at
+// quick scale.
+func TestRunHeadlineGolden(t *testing.T) {
+	head, err := RunHeadline(goldenFig2(), render(t, QuickScale()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +257,37 @@ func TestRunHeadlineGolden(t *testing.T) {
 	}
 }
 
+// TestRunHeadlineTracesReplay checks that the traces RunHeadline hands
+// on to RunFig3 are the ones behind its figures: replayed on the
+// nominal XU3 they give Default and TunedPerf bit for bit.
+func TestRunHeadlineTracesReplay(t *testing.T) {
+	head, err := RunHeadline(goldenFig2(), render(t, QuickScale()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nominal := device.NewModel(device.OdroidXU3())
+	if m := head.DefaultTrace.Replay(nominal); !sameMetrics(m, head.Default) {
+		t.Errorf("default trace replays to %+v, Default %+v", m, head.Default)
+	}
+	if m := head.TunedTrace.Replay(nominal); !sameMetrics(m, head.TunedPerf) {
+		t.Errorf("tuned trace replays to %+v, TunedPerf %+v", m, head.TunedPerf)
+	}
+}
+
 // TestRunFig3Golden pins the phone sweep of the benchmarks' tuned
 // configuration at quick scale: every phone's speed-up and frame rates
 // (by digest) and the summary statistics, bit for bit.
 func TestRunFig3Golden(t *testing.T) {
-	fig3, err := RunFig3(benchTunedConfig(), QuickScale(), 42)
+	seq := render(t, QuickScale())
+	def, err := Simulate(seq, kfusion.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned, err := Simulate(seq, benchTunedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig3, err := RunFig3(def, tuned, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +320,7 @@ func TestRunFig3Golden(t *testing.T) {
 func TestRunDecisionMachineGolden(t *testing.T) {
 	scale := QuickScale()
 	scale.Frames = 12
-	dm, err := RunDecisionMachine(DefaultCandidates(), scale, 0.1, 42)
+	dm, err := RunDecisionMachine(DefaultCandidates(), render(t, scale), 0.1, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

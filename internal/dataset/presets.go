@@ -27,13 +27,6 @@ type PresetOptions struct {
 	WithRGB bool
 }
 
-// DefaultPresetOptions returns the standard evaluation scale: QVGA at
-// 30 FPS with sensor noise — small enough for pure-Go experiments, large
-// enough to expose the paper's accuracy/performance trade-offs.
-func DefaultPresetOptions() PresetOptions {
-	return PresetOptions{Width: 320, Height: 240, Frames: 120, FPS: 30, Noisy: true, Seed: 42}
-}
-
 // TestPresetOptions returns a fast low-resolution profile for unit tests.
 func TestPresetOptions() PresetOptions {
 	return PresetOptions{Width: 80, Height: 60, Frames: 12, FPS: 30, Noisy: false, Seed: 42}

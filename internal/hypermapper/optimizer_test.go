@@ -309,3 +309,59 @@ func TestPaperClassesLabeling(t *testing.T) {
 }
 
 var _ = rf.DefaultForestConfig // keep import for documentation parity
+
+func TestOptimizerFindsNearExhaustiveOptimum(t *testing.T) {
+	// Validation against brute force: on a fully discrete space, the
+	// constrained optimizer's best feasible point must be within 25% of
+	// the true optimum runtime.
+	vrs := []float64{64, 96, 128, 192, 256}
+	csrs := []float64{1, 2, 4, 8}
+	s := &Space{Params: []Parameter{
+		{Name: "volume_resolution", Kind: Ordinal, Choices: vrs},
+		{Name: "compute_size_ratio", Kind: Ordinal, Choices: csrs},
+		{Name: "icp_iters", Kind: Integer, Min: 1, Max: 10},
+	}}
+	eval := func(pt Point) Metrics {
+		vr, csr, it := pt[0], pt[1], pt[2]
+		return Metrics{
+			Runtime: 1e-9*vr*vr*vr + 0.004*it/csr + 0.02/csr,
+			MaxATE:  0.012 + 4.0/vr + 0.012*csr + 0.08/it,
+			Power:   1,
+		}
+	}
+	const limit = 0.09
+
+	trueBest := math.Inf(1)
+	for _, vr := range vrs {
+		for _, csr := range csrs {
+			for it := 1.0; it <= 10; it++ {
+				m := eval(Point{vr, csr, it})
+				if m.MaxATE <= limit && m.Runtime < trueBest {
+					trueBest = m.Runtime
+				}
+			}
+		}
+	}
+
+	cfg := DefaultOptimizerConfig()
+	cfg.RandomSamples = 12
+	cfg.ActiveIterations = 6
+	cfg.BatchPerIteration = 4
+	cfg.CandidatePool = 500
+	cfg.ConstraintObjective = 1
+	cfg.ConstraintLimit = limit
+	cfg.Seed = 5
+	res, err := Optimize(s, eval, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := math.Inf(1)
+	for _, o := range res.Observations {
+		if o.M.MaxATE <= limit && o.M.Runtime < found {
+			found = o.M.Runtime
+		}
+	}
+	if found > trueBest*1.25 {
+		t.Fatalf("optimizer best %v vs exhaustive optimum %v", found, trueBest)
+	}
+}

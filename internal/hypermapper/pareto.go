@@ -39,9 +39,6 @@ type Objectives func(Metrics) []float64
 // RuntimeAccuracy is the Figure 2 objective pair.
 func RuntimeAccuracy(m Metrics) []float64 { return []float64{m.Runtime, m.MaxATE} }
 
-// RuntimeAccuracyPower is the full tri-objective space.
-func RuntimeAccuracyPower(m Metrics) []float64 { return []float64{m.Runtime, m.MaxATE, m.Power} }
-
 // Dominates reports whether a Pareto-dominates b (all objectives ≤, at
 // least one strictly <).
 func Dominates(a, b []float64) bool {

@@ -205,8 +205,7 @@ type CampaignCacheSummary struct {
 	SeqEvictions     int `json:"seq_evictions"`
 }
 
-// WriteCampaignTable renders the report as an aligned table — the
-// campaign analogue of WriteTable.
+// WriteCampaignTable renders the report as an aligned table.
 func WriteCampaignTable(w io.Writer, r *CampaignReport) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	header := "scenario\tdevice\tfid\tevals\tfull\tfront\tbestFPS\tbestATE(m)\trobustFPS\trobustATE(m)\trobustRank\trobustOK"

@@ -1,58 +1,10 @@
 package slambench
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
-	"slamgo/internal/dataset"
-	"slamgo/internal/odometry"
 	"slamgo/internal/sdf"
 )
-
-func TestSuiteCrossProduct(t *testing.T) {
-	seqA := testSeq(t, 6)
-	seqB := testSeq(t, 5)
-	seqB.SeqName = "bench_seq_b"
-
-	suite := &Suite{
-		Systems: []SuiteEntry{
-			{Name: "kfusion", Make: func(s dataset.Sequence) System {
-				return NewKFusion(testKFConfig(), s)
-			}},
-			{Name: "odometry", Make: func(s dataset.Sequence) System {
-				cfg := odometry.DefaultConfig()
-				cfg.ComputeSizeRatio = 1
-				return NewOdometry(cfg, s)
-			}},
-		},
-	}
-	var buf bytes.Buffer
-	sums, err := suite.RunAndReport(&buf, seqA, seqB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sums) != 4 {
-		t.Fatalf("summaries = %d", len(sums))
-	}
-	table := buf.String()
-	if !strings.Contains(table, "bench_seq_b") || !strings.Contains(table, "odometry") {
-		t.Fatalf("table incomplete:\n%s", table)
-	}
-}
-
-func TestSuiteValidation(t *testing.T) {
-	s := &Suite{}
-	if _, err := s.Run(testSeq(t, 2)); err == nil {
-		t.Fatal("empty suite accepted")
-	}
-	s.Systems = []SuiteEntry{{Name: "x", Make: func(seq dataset.Sequence) System {
-		return NewKFusion(testKFConfig(), seq)
-	}}}
-	if _, err := s.Run(); err == nil {
-		t.Fatal("no sequences accepted")
-	}
-}
 
 func TestReconstructionError(t *testing.T) {
 	// Build a reconstruction of the simple room and compare against the

@@ -7,19 +7,6 @@ import (
 	"text/tabwriter"
 )
 
-// WriteTable prints one or more run summaries as an aligned comparison
-// table — the textual equivalent of the SLAMBench GUI read-outs.
-func WriteTable(w io.Writer, sums ...*Summary) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "system\tsequence\tframes\ttracked\tmaxATE(m)\trmseATE(m)\twallFPS\tsimFPS\tsimW\tdevice")
-	for _, s := range sums {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f%%\t%.4f\t%.4f\t%.1f\t%.1f\t%.2f\t%s\n",
-			s.System, s.Sequence, s.Frames, s.TrackedFraction*100,
-			s.ATE.Max, s.ATE.RMSE, s.WallFPS, s.SimFPS, s.SimMeanPower, s.Device)
-	}
-	return tw.Flush()
-}
-
 // WriteCSV emits the per-frame records of a summary as CSV, one row per
 // frame, suitable for external plotting of the paper's figures.
 func WriteCSV(w io.Writer, s *Summary) error {

@@ -121,21 +121,13 @@ func TestKFusionBeatsOdometryOnDrift(t *testing.T) {
 	}
 }
 
-func TestWriteTableAndCSV(t *testing.T) {
+func TestReportWriters(t *testing.T) {
 	seq := testSeq(t, 4)
 	r := &Runner{Model: device.NewModel(device.OdroidXU3())}
 	sum, err := r.Run(NewKFusion(testKFConfig(), seq), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tbl bytes.Buffer
-	if err := WriteTable(&tbl, sum); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tbl.String(), "kfusion") || !strings.Contains(tbl.String(), "maxATE") {
-		t.Fatalf("table missing content:\n%s", tbl.String())
-	}
-
 	var csv bytes.Buffer
 	if err := WriteCSV(&csv, sum); err != nil {
 		t.Fatal(err)
