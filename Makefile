@@ -15,12 +15,13 @@ race:
 bench:
 	go test -run '^$$' -bench . -benchmem .
 
-# Snapshot the benchmarks, compare against the saved baseline with
-# benchstat (when available) and distill the run into
-# BENCH_$(BENCH_INDEX).json (the per-PR snapshot series).
+# Snapshot the benchmarks, gate them against the same benchmarks timed
+# on the last commit (HEAD) in the same run, with benchstat when
+# available, and distill the run into BENCH_$(BENCH_INDEX).json (the
+# per-PR snapshot series).
 BENCH_INDEX ?= 11
 bench-compare:
-	./scripts/bench-compare.sh $(BENCH_INDEX)
+	BENCH_BASE=HEAD ./scripts/bench-compare.sh $(BENCH_INDEX)
 
 # Promote the latest benchmark snapshot to the baseline future runs are
 # compared against.
@@ -45,15 +46,16 @@ campaign-smoke:
 	@echo "campaign-smoke: rejected run left the existing report intact"
 
 # Checkpoint/resume smoke test of the staged campaign engine: run the
-# same cell-ladder campaign three ways — stopped after the Explore
-# stage, resumed from its checkpoints, and uninterrupted — and require
-# the resumed report to be byte-identical to the uninterrupted one.
+# same campaign, on the multi-fidelity ladder, three ways — stopped
+# after the Explore stage, resumed from its checkpoints, and
+# uninterrupted — and require the resumed report to be byte-identical
+# to the uninterrupted one.
 RESUME_SMOKE_DIR := .campaign-resume-smoke
 RESUME_SMOKE_FLAGS := -campaign -quick \
 	-campaign-scenes lr_kt0,of_kt0 \
 	-campaign-devices odroid-xu3,pixel-adreno530 \
 	-random 6 -active 1 -batch 2 \
-	-campaign-cell-stride 2 -campaign-cell-promote 0.5
+	-mf-stride 2 -mf-promote 0.5
 campaign-resume-smoke:
 	rm -rf $(RESUME_SMOKE_DIR)
 	mkdir -p $(RESUME_SMOKE_DIR)

@@ -1,8 +1,9 @@
 // Command experiments regenerates every experiment of the reproduction
 // (E1-E7) and emits a Markdown report of measured results next to the
 // paper's claims. It renders the sequence once and passes each
-// experiment's simulations on to the next: E5 replays E4's two traces
-// and E6 reuses E1's KinectFusion run.
+// experiment's simulations on to the next: E4 replays E1's run of the
+// default configuration, E5 replays E4's two traces and E6 reuses E1's
+// KinectFusion run.
 //
 //	go run ./cmd/experiments -o report.md                # full scale (~2 min on 2 cores)
 //	go run ./cmd/experiments -quick -o /tmp/report.md    # reduced scale
@@ -31,7 +32,7 @@ func main() {
 		campStore      = flag.String("campaign-store", "", "persist the campaign into this store root (created if needed): per-cell stage artifacts in the root, so a killed campaign can resume, plus the rendered-sequence cache in <root>/seqcache and the simulation-result store in <root>/evalcache, shared by cooperating workers, resumed runs and separate campaigns; without it sequences and results are memoized in-process only")
 		campStoreMB    = flag.Int64("campaign-store-max-mb", 0, "bound each cache of -campaign-store (rendered sequences, simulation results) to this many MiB, evicting deterministically in key order (0 = unbounded; checkpoints are never evicted)")
 		campResume     = flag.Bool("campaign-resume", false, "load matching artifacts from -campaign-store instead of recomputing them")
-		campStopAfter  = flag.String("campaign-stop-after", "", "end the campaign cleanly after this stage (plan, explore, promote or crossmeasure) — simulates a kill at a stage boundary for checkpoint/resume workflows")
+		campStopAfter  = flag.String("campaign-stop-after", "", "end the campaign cleanly after this stage (plan, explore or crossmeasure) — simulates a kill at a stage boundary for checkpoint/resume workflows")
 		campWorkerID   = flag.String("campaign-worker-id", "", "run as one cooperating worker of a multi-process campaign: processes sharing -campaign-store split the grid through cell leases and any of them can be killed without losing the campaign (implies -campaign-resume)")
 		campLeaseTTL   = flag.Duration("campaign-lease-ttl", 0, "heartbeat deadline after which a dead worker's cell lease is reclaimed by its peers (with -campaign-worker-id; default 10s)")
 		campCacheStats = flag.Bool("campaign-cache-stats", false, "add the cache counters (memo, evaluation store, sequence cache) to the JSON report under \"caches\" — execution provenance that differs between cold and warm runs, so it is off by default to keep report bytes comparable")
@@ -209,7 +210,7 @@ func main() {
 
 	// ---- E4 / headline ----
 	eprint("E4: headline default-vs-tuned")
-	head, err := core.RunHeadline(fig2, seq)
+	head, err := core.RunHeadline(fig2, fig1.Trace, seq)
 	if err != nil {
 		fatal(err)
 	}

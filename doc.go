@@ -86,14 +86,15 @@
 // through device.Run, the one home of the run-level rule (mean latency,
 // total energy, power over max(n·period, busy time), the share of
 // frames that met the deadline) that slambench.Runner uses for live
-// runs too. So the headline simulates two configurations and replays
-// the tuned one at each XU3 operating point, Fig. 3 replays the
-// headline's two traces on 83 phones, and the decision machine
-// simulates each candidate once; core.Evaluate is a simulation replayed
-// on one model. The figure path renders its sequence once: every
-// core.Run* entry point takes the rendered dataset.Sequence, and
-// cmd/experiments passes each experiment's work on (E5 replays E4's
-// traces, E6 sets its odometry run beside E1's KinectFusion run).
+// runs too. So the headline replays E1's default run and simulates the
+// tuned configuration once, replaying it at each XU3 operating point,
+// Fig. 3 replays the headline's two traces on 83 phones, and the
+// decision machine simulates each candidate once; core.Evaluate is a
+// simulation replayed on one model. The figure path renders its
+// sequence once: every core.Run* entry point takes the rendered
+// dataset.Sequence, and cmd/experiments passes each experiment's work
+// on (E4 replays E1's trace, E5 replays E4's traces, E6 sets its
+// odometry run beside E1's KinectFusion run).
 //
 // One simulation (a configuration run over a sequence, core.Evaluate) is
 // the unit every exploration pays for, and four mechanisms keep it
@@ -143,7 +144,7 @@
 // are preprocessed per simulation. kfusion.New, a nil list and so
 // core.Evaluate preprocess every frame themselves.
 //
-// # Campaign engine: staged, resumable, cell-promoted
+// # Campaign engine: staged and resumable
 //
 // internal/campaign replays the whole methodology across scenarios and
 // devices at once — the paper tunes per scene and per device, and the
@@ -154,12 +155,12 @@
 // comparator, or named picks from the phone catalogue via
 // phones.ByName), in fixed scenario-major order.
 //
-// A campaign runs as a staged job model — Plan → Explore → Promote →
+// A campaign runs as a staged job model — Plan → Explore →
 // CrossMeasure → Aggregate — where every stage consumes and emits
 // serialisable per-cell artifacts. Explore runs Fig. 2's constrained
 // exploration, core.Simulator.Explore, per cell (sharded over
-// internal/parallel, memoized, with the intra-cell multi-fidelity
-// ladder when -mf-stride is set); CrossMeasure re-measures every
+// internal/parallel, memoized, with the multi-fidelity ladder when
+// -mf-stride is set); CrossMeasure re-measures every
 // cell's best feasible and leading front members in every other cell
 // at full fidelity; Aggregate picks the cross-scenario robust
 // configuration with hypermapper.RobustBest — feasible in all cells
@@ -277,17 +278,13 @@
 // artifact is corrupted in place mid-run, and the survivor's report
 // must still diff clean against an uncached run.
 //
-// -campaign-cell-stride adds cell-level multi-fidelity, the intra-cell
-// ladder replayed at grid granularity: Explore first screens every
-// cell on a stride-subsampled sequence, then the Promote stage scores
-// each screened Pareto front's hypervolume against a shared reference
-// (hypermapper.FrontHypervolumes) and re-explores only the top
-// -campaign-cell-promote fraction of cells (index-tie-broken via the
-// same hypermapper.PromoteTopFraction the batch ladder uses) at full
-// fidelity. Unpromoted cells keep — and are reported at — screening
-// fidelity (the report's fid column), while the robust aggregation
-// still cross-measures every candidate at full fidelity, so the
-// shipped configuration never rests on subsampled metrics.
+// The multi-fidelity ladder (-mf-stride, -mf-promote) is the campaign's
+// one multi-fidelity mechanism: it screens each batch on a
+// stride-subsampled sequence and runs only the batch's most promising
+// share at full fidelity, so every
+// cell's front, best configuration and decision rules rest on
+// full-fidelity runs (the report's fid column reads "full"), and the
+// robust aggregation cross-measures every candidate at full fidelity.
 //
 // # Cross-cell transfer learning
 //

@@ -8,7 +8,7 @@
 // plus named picks from the phone catalogue), and runs as a staged job
 // model:
 //
-//	Plan → Explore → Promote → CrossMeasure → Aggregate
+//	Plan → Explore → CrossMeasure → Aggregate
 //
 // Every stage consumes and emits serialisable per-cell artifacts. With
 // Options.CheckpointDir set the artifacts are persisted — one versioned
@@ -16,14 +16,12 @@
 // and options (see Store) — and Options.Resume loads them back, so a
 // campaign killed at any point restarts from its completed cells and a
 // changed option automatically invalidates stale artifacts. The Explore
-// stage runs each cell's constrained Fig2-style exploration; with
-// Options.CellStride > 1 it first screens every cell on a
-// stride-subsampled sequence and the Promote stage re-explores only the
-// cells whose screened Pareto fronts are competitive (hypervolume
-// against a shared reference, index-tie-broken like the intra-cell
-// ladder) at full fidelity — the multi-fidelity ladder replayed at grid
-// granularity. CrossMeasure then measures the union of per-cell winners
-// in every cell, and Aggregate picks the cross-scenario *robust*
+// stage runs each cell's constrained Fig2-style exploration (with
+// Options.FidelityStride > 1, on the multi-fidelity ladder: each batch
+// is screened on a stride-subsampled sequence and only its most
+// promising share runs at full fidelity). CrossMeasure then measures
+// the union of per-cell winners in every cell, and Aggregate picks the
+// cross-scenario *robust*
 // configuration: feasible in every cell and minimal worst-case per-cell
 // rank (hypermapper.RobustBest). That makes the paper's "one
 // configuration does not fit all scenes" point quantitative — the
@@ -32,7 +30,7 @@
 //
 // Determinism: the cell grid is enumerated in fixed scenario-major
 // order, each cell derives its seed from the campaign seed and its own
-// grid index, and every layer below (optimizer batches, ladder and cell
+// grid index, and every layer below (optimizer batches, ladder
 // promotion, parallel map) is bit-deterministic for any worker count —
 // so a seeded campaign produces an identical report for any Workers
 // value, and an interrupted-then-resumed campaign renders byte-identical
@@ -195,22 +193,10 @@ type Options struct {
 	// campaign result is identical for any value.
 	Workers int
 	// FidelityStride > 1 enables the multi-fidelity ladder inside every
-	// full-fidelity cell exploration (see core.ExploreOptions).
+	// cell exploration (see core.ExploreOptions).
 	FidelityStride int
-	// PromoteFraction is the intra-cell ladder's promoted share per
-	// batch.
+	// PromoteFraction is the ladder's promoted share per batch.
 	PromoteFraction float64
-	// CellStride > 1 enables cell-level multi-fidelity: the Explore
-	// stage first runs every cell's exploration on a CellStride-
-	// subsampled sequence (the screening rung), and the Promote stage
-	// re-explores only the cells whose screened fronts are competitive
-	// at full fidelity. Unpromoted cells keep — and are reported at —
-	// screening fidelity.
-	CellStride int
-	// CellPromoteFraction is the share of grid cells promoted to
-	// full-fidelity exploration (default 0.5; at least one cell is
-	// always promoted).
-	CellPromoteFraction float64
 	// Transfer enables cross-cell transfer learning: the Explore stage
 	// runs as two waves — grid-diagonal anchor cells explore from
 	// scratch, every other cell warm-starts from its same-scenario and
@@ -363,9 +349,6 @@ func (o *Options) applyDefaults() {
 		// floor is five), and one spare absorbs a failed configuration.
 		o.TransferSeeds = 3
 	}
-	if o.CellPromoteFraction <= 0 || o.CellPromoteFraction > 1 {
-		o.CellPromoteFraction = defaultCellPromoteFraction
-	}
 	if o.WorkerID != "" {
 		// A cooperating worker must consume what its peers completed;
 		// worker mode is resume mode by definition.
@@ -401,14 +384,11 @@ func (o Options) Validate() error {
 		return fmt.Errorf("campaign: negative budget or worker count (random %d, active %d, batch %d, workers %d)",
 			o.RandomSamples, o.ActiveIterations, o.BatchPerIteration, o.Workers)
 	}
-	if o.FidelityStride < 0 || o.CellStride < 0 {
+	if o.FidelityStride < 0 {
 		return fmt.Errorf("campaign: negative fidelity stride")
 	}
 	if o.PromoteFraction < 0 || o.PromoteFraction > 1 {
 		return fmt.Errorf("campaign: promote fraction %g outside [0,1]", o.PromoteFraction)
-	}
-	if o.CellPromoteFraction < 0 || o.CellPromoteFraction > 1 {
-		return fmt.Errorf("campaign: cell promote fraction %g outside [0,1]", o.CellPromoteFraction)
 	}
 	if o.TransferSeeds != 0 && o.TransferSeeds < 3 {
 		return fmt.Errorf("campaign: transfer seeds %d below the prior-backed surrogate minimum of 3", o.TransferSeeds)
@@ -451,8 +431,7 @@ func (o *Options) UseCacheRoot(root string) {
 // CellResult is one cell's exploration outcome.
 type CellResult struct {
 	Cell Cell
-	// Front is the cell's Pareto front (runtime vs max ATE) at the
-	// cell's reported fidelity.
+	// Front is the cell's Pareto front (runtime vs max ATE).
 	Front []hypermapper.Observation
 	// BestFeasible is the fastest configuration meeting the accuracy
 	// limit in this cell.
@@ -460,9 +439,9 @@ type CellResult struct {
 	HasBestFeasible bool
 	// Evaluations counts every configuration the cell's *exploration*
 	// observed (screening runs included); FullFidelityEvals and
-	// LowFidelityEvals split that spend by fidelity (cell-ladder
-	// screening runs and intra-cell ladder screening runs both count as
-	// low fidelity). The robust aggregation phase afterwards
+	// LowFidelityEvals split that spend by fidelity (the ladder's
+	// screening runs count as low fidelity). The robust aggregation phase
+	// afterwards
 	// cross-measures up to CandidateCount-1 foreign winners per cell at
 	// full fidelity; that spend is shared campaign overhead and not part
 	// of these per-cell exploration counters.
@@ -470,16 +449,11 @@ type CellResult struct {
 	FullFidelityEvals int
 	LowFidelityEvals  int
 	// Fidelity is the fidelity the cell's reported results were explored
-	// at: FidelityFull, or FidelityScreen for an unpromoted cell of the
-	// cell-level ladder.
+	// at: always FidelityFull.
 	Fidelity string
-	// Promoted reports that the cell-level ladder promoted this cell
-	// from screening to full-fidelity exploration.
-	Promoted bool
-	// Resumed reports that at least one of the cell's exploration
-	// artifacts was loaded from the checkpoint store instead of being
-	// recomputed. Execution provenance, not part of the deterministic
-	// report surface.
+	// Resumed reports that the cell's exploration artifact was loaded
+	// from the checkpoint store instead of being recomputed. Execution
+	// provenance, not part of the deterministic report surface.
 	Resumed bool
 	// Owner names who produced the cell's reported artifact this run:
 	// the worker id (or "local" outside worker mode) when it was
@@ -501,11 +475,11 @@ type CellResult struct {
 	TransferDonors   []string
 	TransferSeeds    int
 	// Knowledge holds the cell's extracted decision rules when
-	// Options.Knowledge is set (full-fidelity cells only).
+	// Options.Knowledge is set.
 	Knowledge []string
 	// Failed reports that the cell's exploration panicked and was
 	// quarantined: the cell carries no front or best configuration, is
-	// excluded from promotion, cross-measurement and the robust
+	// excluded from cross-measurement and the robust
 	// aggregation, and appears in reports as a failed row. Deterministic
 	// (a panic for a given seed/options either always or never happens),
 	// so it is part of the report surface.
@@ -572,11 +546,9 @@ type Result struct {
 }
 
 // Run executes the staged campaign: Plan (validation + grid), Explore
-// (per-cell exploration, screening fidelity when the cell ladder is
-// on), Promote (full-fidelity re-exploration of competitive cells),
-// CrossMeasure (robust candidates in every cell) and Aggregate
-// (hypermapper.RobustBest). With a checkpoint store every stage's
-// artifacts persist and resume; see Options.
+// (per-cell exploration), CrossMeasure (robust candidates in every
+// cell) and Aggregate (hypermapper.RobustBest). With a checkpoint store
+// every stage's artifacts persist and resume; see Options.
 func Run(opts Options) (*Result, error) {
 	r, err := newRunner(opts)
 	if err != nil {
@@ -596,17 +568,6 @@ func Run(opts Options) (*Result, error) {
 	r.emitStage(ProgressStageDone, StageExplore)
 	if r.opts.StopAfter == StageExplore {
 		return r.result(StageExplore), nil
-	}
-	if r.canceled() {
-		return nil, ErrCanceled
-	}
-	r.emitStage(ProgressStageStart, StagePromote)
-	if err := r.promote(); err != nil {
-		return nil, err
-	}
-	r.emitStage(ProgressStageDone, StagePromote)
-	if r.opts.StopAfter == StagePromote {
-		return r.result(StagePromote), nil
 	}
 	if r.canceled() {
 		return nil, ErrCanceled
@@ -679,7 +640,6 @@ func (r *Result) Report() *slambench.CampaignReport {
 			LowFidelityEvals:  c.LowFidelityEvals,
 			FrontSize:         len(c.Front),
 			Fidelity:          c.Fidelity,
-			Promoted:          c.Promoted,
 			Resumed:           c.Resumed,
 			Owner:             c.Owner,
 			SeqSource:         c.SeqSource,

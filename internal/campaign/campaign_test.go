@@ -132,9 +132,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"resume without checkpoint", func(o *Options) { o.Resume = true }},
 		{"unknown stop-after stage", func(o *Options) { o.StopAfter = "sideways" }},
 		{"stop-after without checkpoint discards work", func(o *Options) { o.StopAfter = StageExplore }},
-		{"cell promote fraction > 1", func(o *Options) { o.CellPromoteFraction = 1.5 }},
+		{"promote fraction > 1", func(o *Options) { o.PromoteFraction = 1.5 }},
 		{"negative promote fraction", func(o *Options) { o.PromoteFraction = -0.5 }},
-		{"negative cell stride", func(o *Options) { o.CellStride = -2 }},
+		{"negative fidelity stride", func(o *Options) { o.FidelityStride = -2 }},
 		{"negative accuracy limit", func(o *Options) { o.AccuracyLimit = -1 }},
 		{"negative random samples", func(o *Options) { o.RandomSamples = -1 }},
 		{"negative active iterations", func(o *Options) { o.ActiveIterations = -1 }},
@@ -151,12 +151,12 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestParseStage(t *testing.T) {
-	for _, s := range []string{"", "plan", "explore", "promote", "crossmeasure"} {
+	for _, s := range []string{"", "plan", "explore", "crossmeasure"} {
 		if _, err := ParseStage(s); err != nil {
 			t.Fatalf("ParseStage(%q): %v", s, err)
 		}
 	}
-	for _, s := range []string{"aggregate", "Explore", "bogus"} {
+	for _, s := range []string{"promote", "aggregate", "Explore", "bogus"} {
 		if _, err := ParseStage(s); err == nil {
 			t.Fatalf("ParseStage(%q) accepted", s)
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 // simClasses is the full set of simulation classes the hooks count.
-var simClasses = []string{simScreen, simFull, simLadderLow, simCross}
+var simClasses = []string{simFull, simLadderLow, simCross}
 
 // referenceRun executes the shared resume-suite campaign fresh (no
 // checkpoints) with instrumented simulation counts, as the ground truth
@@ -99,7 +99,7 @@ func TestDeadWorkerTakeover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name0 := r.artifactName(r.cells[0], FidelityScreen)
+	name0 := r.artifactName(r.cells[0])
 	past := func() time.Time { return time.Now().Add(-time.Hour) }
 	if _, ok, err := sharedfs.NewLeaseManager(dir, "dead", time.Second, past).TryAcquire(name0); err != nil || !ok {
 		t.Fatalf("staging dead worker's lease: ok=%v err=%v", ok, err)
@@ -150,7 +150,7 @@ func TestWorkerLoadsPeerResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name0 := r.artifactName(r.cells[0], FidelityScreen)
+	name0 := r.artifactName(r.cells[0])
 	// A live peer holds cell 0 (fresh heartbeat, long TTL)…
 	if _, ok, err := sharedfs.NewLeaseManager(dir, "peer", time.Minute, nil).TryAcquire(name0); err != nil || !ok {
 		t.Fatalf("staging peer lease: ok=%v err=%v", ok, err)
@@ -171,14 +171,14 @@ func TestWorkerLoadsPeerResult(t *testing.T) {
 	}()
 
 	var mu sync.Mutex
-	cell0Screens := 0
+	cell0Explored := 0
 	opts := resumeOptions(2, dir)
 	opts.WorkerID = "w1"
 	opts.LeaseTTL = 5 * time.Second
 	opts.observeSimulation = func(cell int, class string) {
-		if cell == 0 && class == simScreen {
+		if cell == 0 && class != simCross {
 			mu.Lock()
-			cell0Screens++
+			cell0Explored++
 			mu.Unlock()
 		}
 	}
@@ -189,8 +189,8 @@ func TestWorkerLoadsPeerResult(t *testing.T) {
 	if !bytes.Equal(renderReport(t, res), refBytes) {
 		t.Fatal("worker report diverges from reference")
 	}
-	if cell0Screens != 0 {
-		t.Fatalf("cell 0 screened %d times despite the peer publishing it", cell0Screens)
+	if cell0Explored != 0 {
+		t.Fatalf("cell 0 ran %d exploration simulations despite the peer publishing it", cell0Explored)
 	}
 	if !res.Cells[0].Resumed {
 		t.Fatal("peer-published cell not marked resumed")

@@ -106,10 +106,9 @@ func TestEvalCacheWarmRerunZeroSimulations(t *testing.T) {
 // reference run (under -race via make race), the first run fills the
 // store and the later runs simulate nothing.
 func TestEvalCacheByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	refOpts := resumeOptions(1, "")
-	refOpts.FidelityStride = 2 // exercise the intra-cell ladder's store-backed rungs
-	refOpts.PromoteFraction = 0.5
-	ref, err := Run(refOpts)
+	// resumeOptions runs the ladder, so both store-backed rungs are
+	// exercised.
+	ref, err := Run(resumeOptions(1, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +124,6 @@ func TestEvalCacheByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	first := 0
 	for i, workers := range []int{1, 4, 8} {
 		opts := resumeOptions(workers, "")
-		opts.FidelityStride = 2
-		opts.PromoteFraction = 0.5
 		opts.EvalCacheDir = dir
 		res, err := Run(opts)
 		if err != nil {

@@ -76,8 +76,8 @@ func TestCorruptArtifactRecomputed(t *testing.T) {
 	opts := resumeOptions(1, dir)
 	opts.Resume = true
 	opts.observeSimulation = sims.hook
-	// Load op 0 is the first cell's screening artifact: rot its bytes on
-	// disk before the store reads them.
+	// Load op 0 is the first cell's exploration artifact: rot its bytes
+	// on disk before the store reads them.
 	fs := &sharedfs.FaultPlan{Load: map[int]sharedfs.FaultKind{0: sharedfs.FaultCorruptRead}}
 	opts.storeFaults = fs
 	again, err := Run(opts)
@@ -90,13 +90,13 @@ func TestCorruptArtifactRecomputed(t *testing.T) {
 	if fs.Injected() != 1 {
 		t.Fatalf("injected %d faults, want 1", fs.Injected())
 	}
-	// Exactly the corrupted cell re-simulated — at screening fidelity
-	// only; every other artifact still resumed.
-	if sims.get(simScreen) == 0 {
+	// Exactly the corrupted cell re-simulated — its exploration only;
+	// every other artifact still resumed.
+	if sims.explored() == 0 {
 		t.Fatal("corrupt artifact was not recomputed")
 	}
-	if n := sims.total() - sims.get(simScreen); n != 0 {
-		t.Fatalf("%d non-screening simulations on resume, want 0", n)
+	if n := sims.total() - sims.explored(); n != 0 {
+		t.Fatalf("%d non-exploration simulations on resume, want 0", n)
 	}
 	noTempFiles(t, dir)
 }

@@ -63,15 +63,15 @@ func (r *runner) emitStage(kind string, stage Stage) {
 	r.emit(ProgressEvent{Kind: kind, Stage: stage, Cell: -1, Cells: len(r.cells)})
 }
 
-// emitCell delivers a cell-level progress event for an exploration
-// outcome.
-func (r *runner) emitCell(stage Stage, cell Cell, out *cellOutcome) {
+// emitCell delivers the Explore stage's progress event for a cell's
+// exploration outcome.
+func (r *runner) emitCell(cell Cell, out *cellOutcome) {
 	if out.err != nil || out.art == nil {
 		return
 	}
 	r.emit(ProgressEvent{
 		Kind:     ProgressCellDone,
-		Stage:    stage,
+		Stage:    StageExplore,
 		Cell:     cell.Index,
 		Scenario: cell.Scenario.Name,
 		Device:   cell.Target.Name,

@@ -36,7 +36,7 @@ func stageSpan(events []ProgressEvent, stage Stage) (start, done int) {
 }
 
 // TestProgressEventSequence checks the observer contract on a fresh
-// cell-ladder campaign: stages bracket their cells in pipeline order,
+// campaign: stages bracket their cells in pipeline order,
 // every cell reports exactly once per stage it participates in, and
 // cell metadata (grid index, scenario, device, fidelity) is populated.
 func TestProgressEventSequence(t *testing.T) {
@@ -55,7 +55,7 @@ func TestProgressEventSequence(t *testing.T) {
 
 	// Stage brackets exist and nest in pipeline order.
 	prevDone := 0
-	for _, stage := range []Stage{StageExplore, StagePromote, StageCrossMeasure, StageAggregate} {
+	for _, stage := range []Stage{StageExplore, StageCrossMeasure, StageAggregate} {
 		start, done := stageSpan(events, stage)
 		if start < 0 || done < 0 || start >= done {
 			t.Fatalf("stage %s bracket malformed: start=%d done=%d", stage, start, done)
@@ -66,8 +66,7 @@ func TestProgressEventSequence(t *testing.T) {
 		prevDone = done
 	}
 
-	// Cell events: all four cells screen in explore, the promoted half
-	// re-explores at full fidelity, all four cross-measure — and each
+	// Cell events: all four cells explore and cross-measure — and each
 	// lands inside its stage's bracket.
 	counts := map[Stage]int{}
 	for i, ev := range events {
@@ -87,18 +86,13 @@ func TestProgressEventSequence(t *testing.T) {
 		if i < start || i > done {
 			t.Fatalf("cell event %d for stage %s outside its bracket [%d,%d]", i, ev.Stage, start, done)
 		}
-		if ev.Stage == StageExplore || ev.Stage == StagePromote {
-			if ev.Fidelity == "" {
-				t.Fatalf("exploration cell event missing fidelity: %+v", ev)
-			}
+		if ev.Stage == StageExplore && ev.Fidelity != FidelityFull {
+			t.Fatalf("exploration cell event fidelity %q: %+v", ev.Fidelity, ev)
 		}
 		counts[ev.Stage]++
 	}
 	if counts[StageExplore] != 4 {
 		t.Fatalf("%d explore cell events, want 4", counts[StageExplore])
-	}
-	if counts[StagePromote] != 2 { // ceil(0.5 × 4) cells promoted
-		t.Fatalf("%d promote cell events, want 2", counts[StagePromote])
 	}
 	if counts[StageCrossMeasure] != 4 {
 		t.Fatalf("%d cross-measure cell events, want 4", counts[StageCrossMeasure])

@@ -2,15 +2,19 @@ package campaign
 
 import (
 	"bytes"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"slamgo/internal/core"
 )
 
-// resumeOptions is the shared 2-scenario × 2-device cell-ladder
-// campaign the checkpoint/resume tests run: small enough to re-run many
-// times, screened at CellStride 2 with half the cells promoted.
+// resumeOptions is the shared 2-scenario × 2-device campaign the
+// checkpoint/resume tests run: small enough to re-run many times, on the
+// multi-fidelity ladder (FidelityStride 2, half of each batch promoted),
+// so every cell simulates a screening rung and a full-fidelity rung.
 func resumeOptions(workers int, dir string) Options {
 	// Smaller even than campaignScale: the resume suite runs this
 	// campaign a dozen times (under -race in CI), and checkpoint
@@ -25,18 +29,18 @@ func resumeOptions(workers int, dir string) Options {
 		panic(err)
 	}
 	return Options{
-		Scenarios:           scen,
-		Targets:             targets,
-		RandomSamples:       4,
-		ActiveIterations:    1,
-		BatchPerIteration:   2,
-		AccuracyLimit:       0.1,
-		Seed:                11,
-		Workers:             workers,
-		CellStride:          2,
-		CellPromoteFraction: 0.5,
-		MaxFrontCandidates:  1,
-		CheckpointDir:       dir,
+		Scenarios:          scen,
+		Targets:            targets,
+		RandomSamples:      4,
+		ActiveIterations:   1,
+		BatchPerIteration:  2,
+		AccuracyLimit:      0.1,
+		Seed:               11,
+		Workers:            workers,
+		FidelityStride:     2,
+		PromoteFraction:    0.5,
+		MaxFrontCandidates: 1,
+		CheckpointDir:      dir,
 	}
 }
 
@@ -72,97 +76,10 @@ func (c *simCounter) total() int {
 	return n
 }
 
-// TestCellLadderScreensAndPromotes checks the cell-level multi-fidelity
-// semantics on a fresh (uncheckpointed) run: every cell screens, only
-// the competitive half explores at full fidelity, and unpromoted cells
-// are reported at screening fidelity.
-func TestCellLadderScreensAndPromotes(t *testing.T) {
-	res, err := Run(resumeOptions(1, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 4 {
-		t.Fatalf("grid has %d cells, want 4", len(res.Cells))
-	}
-	promoted := 0
-	for _, c := range res.Cells {
-		if c.Evaluations == 0 {
-			t.Fatalf("cell %s/%s ran no evaluations", c.Cell.Scenario.Name, c.Cell.Target.Name)
-		}
-		switch c.Fidelity {
-		case FidelityFull:
-			if !c.Promoted {
-				t.Fatalf("full-fidelity cell %s/%s not marked promoted", c.Cell.Scenario.Name, c.Cell.Target.Name)
-			}
-			promoted++
-			// A promoted cell's totals include its screening spend.
-			if c.LowFidelityEvals == 0 || c.Evaluations <= c.FullFidelityEvals {
-				t.Fatalf("promoted cell %s/%s did not account screening spend: %+v",
-					c.Cell.Scenario.Name, c.Cell.Target.Name, c)
-			}
-		case FidelityScreen:
-			if c.Promoted {
-				t.Fatalf("screen-fidelity cell %s/%s marked promoted", c.Cell.Scenario.Name, c.Cell.Target.Name)
-			}
-			if c.FullFidelityEvals != 0 || c.LowFidelityEvals != c.Evaluations {
-				t.Fatalf("screen cell %s/%s has full-fidelity spend: %+v",
-					c.Cell.Scenario.Name, c.Cell.Target.Name, c)
-			}
-		default:
-			t.Fatalf("cell %s/%s has fidelity %q", c.Cell.Scenario.Name, c.Cell.Target.Name, c.Fidelity)
-		}
-		if c.Resumed {
-			t.Fatalf("fresh run marked cell %s/%s resumed", c.Cell.Scenario.Name, c.Cell.Target.Name)
-		}
-	}
-	if promoted != 2 { // ceil(0.5 × 4)
-		t.Fatalf("%d cells promoted, want 2", promoted)
-	}
-	// The robust phase still cross-measures at full fidelity, so the
-	// aggregation is comparable even with screened cells in the grid.
-	if !res.HasRobust {
-		t.Fatal("cell-ladder campaign produced no robust configuration")
-	}
-	for j, m := range res.Robust.PerCell {
-		if m.LowFidelity {
-			t.Fatalf("robust metrics in cell %d are low fidelity", j)
-		}
-	}
-}
-
-// TestEqualStridesClassifyByFidelity runs the cell ladder with an
-// intra-cell ladder at the same stride: a screening simulation and a
-// ladder-low one then run at equal strides, and only the fidelity a
-// cell explores at tells them apart. Every cell screens; exactly the
-// promoted cells run ladder-low and full-fidelity exploration
-// simulations.
-func TestEqualStridesClassifyByFidelity(t *testing.T) {
-	opts := resumeOptions(2, "")
-	opts.FidelityStride = opts.CellStride
-	opts.PromoteFraction = 0.5
-	var mu sync.Mutex
-	perCell := map[int]map[string]int{}
-	opts.observeSimulation = func(cell int, class string) {
-		mu.Lock()
-		defer mu.Unlock()
-		if perCell[cell] == nil {
-			perCell[cell] = map[string]int{}
-		}
-		perCell[cell][class]++
-	}
-	res, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range res.Cells {
-		sims := perCell[i]
-		if sims[simScreen] == 0 {
-			t.Errorf("cell %d ran no screening simulation: %v", i, sims)
-		}
-		if explored := sims[simLadderLow] > 0 && sims[simFull] > 0; explored != c.Promoted {
-			t.Errorf("cell %d (promoted %v) ran ladder-low/full simulations %v", i, c.Promoted, sims)
-		}
-	}
+// explored counts the exploration simulations: both rungs of the
+// ladder.
+func (c *simCounter) explored() int {
+	return c.get(simFull) + c.get(simLadderLow)
 }
 
 // TestInterruptedResumeByteIdentical is the acceptance check of the
@@ -176,6 +93,22 @@ func TestInterruptedResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	refBytes := renderReport(t, ref)
+	// The uninterrupted reference: every cell explored here on both
+	// rungs, and the robust phase cross-measured at full fidelity.
+	for _, c := range ref.Cells {
+		if c.Resumed || c.Fidelity != FidelityFull || c.LowFidelityEvals == 0 ||
+			c.FullFidelityEvals == 0 || c.FullFidelityEvals >= c.Evaluations {
+			t.Fatalf("fresh cell %s/%s: %+v", c.Cell.Scenario.Name, c.Cell.Target.Name, c)
+		}
+	}
+	if !ref.HasRobust {
+		t.Fatal("laddered campaign produced no robust configuration")
+	}
+	for j, m := range ref.Robust.PerCell {
+		if m.LowFidelity {
+			t.Fatalf("robust metrics in cell %d are low fidelity", j)
+		}
+	}
 
 	cases := []struct {
 		stopAfter Stage
@@ -184,7 +117,7 @@ func TestInterruptedResumeByteIdentical(t *testing.T) {
 		{StageExplore, 1},
 		{StageExplore, 4},
 		{StageExplore, 8},
-		{StagePromote, 4},
+		{StageCrossMeasure, 4},
 	}
 	for _, c := range cases {
 		dir := t.TempDir()
@@ -213,17 +146,16 @@ func TestInterruptedResumeByteIdentical(t *testing.T) {
 			t.Fatalf("stop=%s workers=%d: resumed report diverges from uninterrupted run",
 				c.stopAfter, c.workers)
 		}
-		// Screening explorations were checkpointed before the kill: the
-		// resumed run must load them, never re-simulate them.
-		if n := sims.get(simScreen); n != 0 {
-			t.Fatalf("stop=%s workers=%d: %d screening simulations on resume, want 0",
+		// Explorations were checkpointed before the kill: the resumed run
+		// must load them, never re-simulate them.
+		if n := sims.explored(); n != 0 {
+			t.Fatalf("stop=%s workers=%d: %d exploration simulations on resume, want 0",
 				c.stopAfter, c.workers, n)
 		}
-		if c.stopAfter == StagePromote {
-			// Full-fidelity explorations were checkpointed too; only the
-			// cross-measurement may simulate.
-			if n := sims.get(simFull) + sims.get(simLadderLow); n != 0 {
-				t.Fatalf("stop=%s workers=%d: %d exploration simulations on resume, want 0",
+		if c.stopAfter == StageCrossMeasure {
+			// The cross-measurements were checkpointed too.
+			if n := sims.get(simCross); n != 0 {
+				t.Fatalf("stop=%s workers=%d: %d cross-measurements on resume, want 0",
 					c.stopAfter, c.workers, n)
 			}
 		}
@@ -288,8 +220,8 @@ func TestChangedOptionInvalidatesArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := sims.get(simScreen); n == 0 {
-		t.Fatal("changed accuracy limit still hit stale screening artifacts")
+	if n := sims.explored(); n == 0 {
+		t.Fatal("changed accuracy limit still hit stale exploration artifacts")
 	}
 	if !bytes.Equal(renderReport(t, got), renderReport(t, fresh)) {
 		t.Fatal("resume with changed options diverges from a fresh run of those options")
@@ -299,5 +231,51 @@ func TestChangedOptionInvalidatesArtifacts(t *testing.T) {
 			t.Fatalf("cell %s/%s marked resumed despite invalidated artifacts",
 				cell.Cell.Scenario.Name, cell.Cell.Target.Name)
 		}
+	}
+}
+
+// TestArtifactNamesStable pins the checkpoint names a store holds, so a
+// store written by an earlier build keeps resuming: the exploration and
+// cross-measurement artifacts of resumeOptions' four cells and the
+// exploration artifact of a transfer borrower.
+func TestArtifactNamesStable(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Run(resumeOptions(2, dir)); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, path := range stored {
+		got = append(got, strings.TrimSuffix(filepath.Base(path), ".json"))
+	}
+	slices.Sort(got)
+	want := []string{
+		"cross-c000-7bdde58021ee68dd",
+		"cross-c001-147e75c678657ebe",
+		"cross-c002-1d0068423ee1c1f5",
+		"cross-c003-11897bf852e97dd9",
+		"full-c000-92b419e66a5723f0",
+		"full-c001-c363311bbfefc71c",
+		"full-c002-91750d0eb90d3025",
+		"full-c003-7e759848b796dc95",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("store holds %v, want %v", got, want)
+	}
+
+	opts := resumeOptions(1, "")
+	opts.Transfer = true
+	r, err := newRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.donors[1] == nil {
+		t.Fatal("cell 1 is not a transfer borrower")
+	}
+	if got, want := r.artifactName(r.cells[1]), "full-c001-7f3fdc937d90be58"; got != want {
+		t.Errorf("borrower artifact %s, want %s", got, want)
 	}
 }

@@ -15,12 +15,11 @@ import (
 // them, the cmd/experiments flags default to them, and
 // Options.applyDefaults fills a library caller's zero options from them.
 const (
-	defaultSeed                = 1
-	defaultRandomSamples       = 20
-	defaultActiveIterations    = 5
-	defaultBatchPerIteration   = 4
-	defaultPromoteFraction     = 0.25
-	defaultCellPromoteFraction = 0.5
+	defaultSeed              = 1
+	defaultRandomSamples     = 20
+	defaultActiveIterations  = 5
+	defaultBatchPerIteration = 4
+	defaultPromoteFraction   = 0.25
 )
 
 // defaultDevices are the default targets: the paper's board and one
@@ -35,9 +34,8 @@ var defaultDevices = []string{"odroid-xu3", "pixel-adreno530"}
 //
 // A zero field means the default: seed 1, all six scenarios on
 // odroid-xu3 and pixel-adreno530, 20 random samples, 5 active
-// iterations of batch 4, promote fractions 0.25 and 0.5, no fidelity
-// ladders, 3 transfer seeds. Options rejects a negative count, stride
-// or fraction.
+// iterations of batch 4, promote fraction 0.25, no fidelity ladder, 3
+// transfer seeds. Options rejects a negative count, stride or fraction.
 type Spec struct {
 	// Scenarios and Devices name the campaign grid.
 	Scenarios []string `json:"scenarios,omitempty"`
@@ -55,12 +53,9 @@ type Spec struct {
 	// resubmitting a spec with another worker count joins the existing
 	// job.
 	Workers int `json:"workers,omitempty"`
-	// Intra-cell multi-fidelity ladder.
+	// Multi-fidelity ladder.
 	FidelityStride  int     `json:"fidelity_stride,omitempty"`
 	PromoteFraction float64 `json:"promote_fraction,omitempty"`
-	// Cell-level multi-fidelity ladder.
-	CellStride          int     `json:"cell_stride,omitempty"`
-	CellPromoteFraction float64 `json:"cell_promote_fraction,omitempty"`
 	// Cross-cell transfer learning.
 	Transfer      bool `json:"transfer,omitempty"`
 	TransferSeeds int  `json:"transfer_seeds,omitempty"`
@@ -82,8 +77,6 @@ func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Workers, "workers", 0, "parallel evaluation workers (0 = all CPUs; results are identical for any value)")
 	fs.IntVar(&s.FidelityStride, "mf-stride", 0, "multi-fidelity frame stride for the DSE (>1 screens candidates on a subsampled sequence; 0 = full fidelity only)")
 	fs.Float64Var(&s.PromoteFraction, "mf-promote", defaultPromoteFraction, "fraction of each batch promoted to full-fidelity runs (with -mf-stride)")
-	fs.IntVar(&s.CellStride, "campaign-cell-stride", 0, "cell-level multi-fidelity frame stride (>1 screens every cell on a subsampled sequence and promotes only competitive cells to full fidelity)")
-	fs.Float64Var(&s.CellPromoteFraction, "campaign-cell-promote", defaultCellPromoteFraction, "fraction of grid cells promoted to full-fidelity exploration (with -campaign-cell-stride)")
 	fs.BoolVar(&s.Transfer, "campaign-transfer", false, "warm-start off-diagonal cells from the grid-diagonal anchor cells' results: borrowers seed from donor winners on a reduced budget and bias acquisition with a donor-pooled prior (donor data steers sampling only — it never enters a cell's reported results)")
 	fs.IntVar(&s.TransferSeeds, "campaign-transfer-seeds", 0, "seeding budget of a warm-started borrower cell (with -campaign-transfer; 0 = default 3, minimum 3)")
 	fs.BoolVar(&s.Knowledge, "campaign-knowledge", false, "extract per-cell decision rules (paper §V 'knowledge extraction') from each full-fidelity cell's observations into the JSON report")
@@ -122,7 +115,6 @@ func (s *Spec) Normalize() {
 	orDefault(&s.ActiveIterations, defaultActiveIterations)
 	orDefault(&s.BatchPerIteration, defaultBatchPerIteration)
 	orDefault(&s.PromoteFraction, defaultPromoteFraction)
-	orDefault(&s.CellPromoteFraction, defaultCellPromoteFraction)
 }
 
 func orDefault[T int | int64 | float64](v *T, def T) {
@@ -154,18 +146,16 @@ func (s Spec) ID() string {
 func (s Spec) Options() (Options, error) {
 	scale := core.DefaultScale()
 	opts := Options{
-		RandomSamples:       s.RandomSamples,
-		ActiveIterations:    s.ActiveIterations,
-		BatchPerIteration:   s.BatchPerIteration,
-		Seed:                s.Seed,
-		Workers:             s.Workers,
-		FidelityStride:      s.FidelityStride,
-		PromoteFraction:     s.PromoteFraction,
-		CellStride:          s.CellStride,
-		CellPromoteFraction: s.CellPromoteFraction,
-		Transfer:            s.Transfer,
-		TransferSeeds:       s.TransferSeeds,
-		Knowledge:           s.Knowledge,
+		RandomSamples:     s.RandomSamples,
+		ActiveIterations:  s.ActiveIterations,
+		BatchPerIteration: s.BatchPerIteration,
+		Seed:              s.Seed,
+		Workers:           s.Workers,
+		FidelityStride:    s.FidelityStride,
+		PromoteFraction:   s.PromoteFraction,
+		Transfer:          s.Transfer,
+		TransferSeeds:     s.TransferSeeds,
+		Knowledge:         s.Knowledge,
 	}
 	if s.Quick {
 		scale = core.QuickScale()

@@ -43,8 +43,6 @@ var everyField = map[string]string{
 	"workers":                 "3",
 	"mf-stride":               "2",
 	"mf-promote":              "0.5",
-	"campaign-cell-stride":    "3",
-	"campaign-cell-promote":   "0.75",
 	"campaign-transfer":       "true",
 	"campaign-transfer-seeds": "4",
 	"campaign-knowledge":      "true",
@@ -52,8 +50,8 @@ var everyField = map[string]string{
 
 const everyFieldJSON = `{"scenarios":["lr_kt1","of_kt1"],"devices":["desktop-gpu","odroid-xu3"],
 	"quick":true,"seed":7,"random_samples":9,"active_iterations":2,"batch_per_iteration":3,
-	"workers":3,"fidelity_stride":2,"promote_fraction":0.5,"cell_stride":3,
-	"cell_promote_fraction":0.75,"transfer":true,"transfer_seeds":4,"knowledge":true}`
+	"workers":3,"fidelity_stride":2,"promote_fraction":0.5,
+	"transfer":true,"transfer_seeds":4,"knowledge":true}`
 
 func everyFieldArgs() []string {
 	var args []string
@@ -66,7 +64,8 @@ func everyFieldArgs() []string {
 // TestSpecCLIEqualsHTTP is the CLI/served byte-identity guarantee at
 // its root: flag arguments and the equivalent JSON submission normalize
 // to the same campaign ID and resolve to identical options. The IDs are
-// pinned: they name dseserve job directories, so they must never move.
+// pinned: they name dseserve job directories, so they move only on
+// purpose.
 func TestSpecCLIEqualsHTTP(t *testing.T) {
 	cases := []struct {
 		name string
@@ -74,16 +73,16 @@ func TestSpecCLIEqualsHTTP(t *testing.T) {
 		json string
 		id   string
 	}{
-		{"defaults", nil, `{}`, "3bb72916d13ddf65"},
+		{"defaults", nil, `{}`, "1e8912118ff2d671"},
 		{"serve-smoke phase A",
 			[]string{"-quick", "-campaign-scenes", "lr_kt0", "-campaign-devices", "odroid-xu3", "-random", "4", "-active", "1", "-batch", "2"},
 			`{"quick":true,"scenarios":["lr_kt0"],"devices":["odroid-xu3"],"random_samples":4,"active_iterations":1,"batch_per_iteration":2}`,
-			"aba5d1d7d51cf49e"},
+			"28412a54585ab25b"},
 		{"serve-smoke phase B",
 			[]string{"-quick", "-campaign-scenes", "lr_kt0,of_kt0", "-campaign-devices", "odroid-xu3", "-random", "6", "-active", "1", "-batch", "2"},
 			`{"quick":true,"scenarios":["lr_kt0","of_kt0"],"devices":["odroid-xu3"],"random_samples":6,"active_iterations":1,"batch_per_iteration":2}`,
-			"2be0e44c5ce393fd"},
-		{"every field", everyFieldArgs(), everyFieldJSON, "7e6f65b5978ed821"},
+			"f3b0f1c146eb59a3"},
+		{"every field", everyFieldArgs(), everyFieldJSON, "43ad64c132044f56"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -148,8 +147,8 @@ func TestSpecNormalizeFillsDefaults(t *testing.T) {
 	if s.Seed != 1 || s.RandomSamples != 20 || s.ActiveIterations != 5 || s.BatchPerIteration != 4 {
 		t.Fatalf("default budget: %+v", s)
 	}
-	if s.PromoteFraction != 0.25 || s.CellPromoteFraction != 0.5 {
-		t.Fatalf("default fractions: %+v", s)
+	if s.PromoteFraction != 0.25 {
+		t.Fatalf("default promote fraction: %+v", s)
 	}
 	// Normalization is idempotent: canonical specs stay canonical.
 	id := s.ID()
@@ -175,7 +174,6 @@ func TestSpecRejectsNegative(t *testing.T) {
 	}{
 		{`{"active_iterations":-1}`, []string{"-active", "-1"}},
 		{`{"promote_fraction":-1}`, []string{"-mf-promote", "-1"}},
-		{`{"cell_promote_fraction":-1}`, []string{"-campaign-cell-promote", "-1"}},
 		{`{"transfer_seeds":-1,"transfer":true}`, []string{"-campaign-transfer-seeds", "-1", "-campaign-transfer"}},
 	}
 	for _, c := range cases {
@@ -205,7 +203,7 @@ func TestSpecIDExcludesWorkers(t *testing.T) {
 	// normalize to the same identity.
 	d := Spec{Scenarios: []string{"lr_kt0"}, Devices: []string{"odroid-xu3"},
 		Seed: 1, RandomSamples: 20, ActiveIterations: 5, BatchPerIteration: 4,
-		PromoteFraction: 0.25, CellPromoteFraction: 0.5}
+		PromoteFraction: 0.25}
 	d.Normalize()
 	if d.ID() != a.ID() {
 		t.Fatal("explicit defaults produced a different identity than omitted fields")
@@ -227,12 +225,11 @@ func TestSpecOptionsValidation(t *testing.T) {
 	}
 
 	bad := []Spec{
-		{Scenarios: []string{"lr_kt9"}},           // unknown scenario
-		{Devices: []string{"nokia-3310"}},         // unknown device
-		{Scenarios: []string{"lr_kt0", "lr_kt0"}}, // duplicate scenario
-		{PromoteFraction: 1.5},                    // fraction out of range
-		{CellPromoteFraction: 2},                  // fraction out of range
-		{TransferSeeds: 2, Transfer: true},        // below surrogate minimum
+		{Scenarios: []string{"lr_kt9"}},                                                // unknown scenario
+		{Devices: []string{"nokia-3310"}},                                              // unknown device
+		{Scenarios: []string{"lr_kt0", "lr_kt0"}},                                      // duplicate scenario
+		{PromoteFraction: 1.5},                                                         // fraction out of range
+		{TransferSeeds: 2, Transfer: true},                                             // below surrogate minimum
 		{Scenarios: []string{"lr_kt0"}, Devices: []string{"odroid-xu3", "odroid-xu3"}}, // duplicate device
 		{Workers: -1}, // negative worker count
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // Stage names one phase of the staged campaign job model. A campaign is
-// Plan → Explore → Promote → CrossMeasure → Aggregate; every stage
+// Plan → Explore → CrossMeasure → Aggregate; every stage
 // consumes and emits serialisable per-cell artifacts, so a campaign
 // interrupted at any stage boundary resumes from the persisted
 // artifacts instead of re-simulating.
@@ -26,14 +26,9 @@ type Stage string
 const (
 	// StagePlan validates options and enumerates the cell grid.
 	StagePlan Stage = "plan"
-	// StageExplore runs every cell's exploration — at the cheap
-	// CellStride screening fidelity when the cell-level ladder is on,
-	// at full fidelity otherwise — and persists one artifact per cell.
+	// StageExplore runs every cell's exploration (with the multi-fidelity
+	// ladder when FidelityStride > 1) and persists one artifact per cell.
 	StageExplore Stage = "explore"
-	// StagePromote scores the screened fronts (hypervolume against a
-	// shared reference) and re-explores only the competitive cells at
-	// full fidelity; unpromoted cells keep their screening artifacts.
-	StagePromote Stage = "promote"
 	// StageCrossMeasure measures the union of per-cell winners in every
 	// cell at full fidelity, one persisted metrics vector per cell.
 	StageCrossMeasure Stage = "crossmeasure"
@@ -51,28 +46,21 @@ const (
 // Result.StoppedAfter ambiguous.
 func ParseStage(s string) (Stage, error) {
 	switch Stage(s) {
-	case "", StagePlan, StageExplore, StagePromote, StageCrossMeasure:
+	case "", StagePlan, StageExplore, StageCrossMeasure:
 		return Stage(s), nil
 	}
-	return "", fmt.Errorf("campaign: unknown stage %q (want plan, explore, promote or crossmeasure)", s)
+	return "", fmt.Errorf("campaign: unknown stage %q (want plan, explore or crossmeasure)", s)
 }
 
-// Fidelity labels for CellResult.Fidelity / the report's fid column.
-const (
-	// FidelityFull marks a cell whose reported exploration ran on the
-	// full sequence.
-	FidelityFull = "full"
-	// FidelityScreen marks a cell reported at screening fidelity: its
-	// exploration ran on the CellStride-subsampled sequence and the
-	// cell was not promoted.
-	FidelityScreen = "screen"
-)
+// FidelityFull is the fidelity every cell's reported exploration runs
+// at: the label of CellResult.Fidelity, the report's fid column and the
+// exploration artifacts' names.
+const FidelityFull = "full"
 
 // Simulation classes passed to the test instrumentation hook.
 const (
-	simScreen    = "screen"     // cell-ladder screening exploration
 	simFull      = "full"       // full-fidelity exploration
-	simLadderLow = "ladder-low" // intra-cell ladder screening rung
+	simLadderLow = "ladder-low" // the ladder's screening rung
 	simCross     = "cross"      // cross-measurement of robust candidates
 )
 
@@ -83,7 +71,7 @@ const (
 type cellArtifact struct {
 	Scenario string `json:"scenario"`
 	Device   string `json:"device"`
-	// Fidelity is FidelityFull or FidelityScreen.
+	// Fidelity is FidelityFull.
 	Fidelity string `json:"fidelity"`
 	// Observations is every configuration the exploration measured, in
 	// order; Front / BestFeasible are derived views stored alongside so
@@ -92,8 +80,7 @@ type cellArtifact struct {
 	Front           []hypermapper.Observation `json:"front"`
 	BestFeasible    hypermapper.Observation   `json:"best_feasible"`
 	HasBestFeasible bool                      `json:"has_best_feasible"`
-	// Evaluation spend of this exploration only (a promoted cell's
-	// screening spend lives in its screening artifact).
+	// Evaluation spend of the exploration.
 	Evaluations       int `json:"evaluations"`
 	FullFidelityEvals int `json:"full_fidelity_evals"`
 	LowFidelityEvals  int `json:"low_fidelity_evals"`
@@ -120,11 +107,11 @@ type cellArtifact struct {
 // root panic value is recorded (stacks go to the log): the value is
 // deterministic for a given seed and options, stacks are not, and
 // artifacts must be byte-identical across writers.
-func failedArtifact(cell Cell, fidelity string, p any) *cellArtifact {
+func failedArtifact(cell Cell, p any) *cellArtifact {
 	return &cellArtifact{
 		Scenario:      cell.Scenario.Name,
 		Device:        cell.Target.Name,
-		Fidelity:      fidelity,
+		Fidelity:      FidelityFull,
 		Failed:        true,
 		FailureReason: fmt.Sprint(panicRoot(p)),
 	}
@@ -162,16 +149,14 @@ type runner struct {
 	logf  func(format string, args ...any)
 
 	anchors []int   // transfer mode: grid-diagonal anchor cells
-	donors  [][]int // transfer mode: per-cell donor indices (nil = explores from scratch)
+	donors  [][]int // per-cell donor indices (nil = explores from scratch)
 
-	screens  []*cellArtifact // screening artifacts (cell ladder only)
-	arts     []*cellArtifact // final per-cell artifacts
-	resumed  []bool          // any artifact of the cell loaded from the store
-	promoted []bool          // cell promoted to full fidelity by the cell ladder
-	owners   []string        // provenance: who produced the reported artifact
-	cache    *seqcache.Cache // rendered-sequence cache (memory-only without SeqCacheDir)
-	seqMu    sync.Mutex      // guards seqSrc
-	seqSrc   []string        // provenance: where each cell's sequence came from
+	arts    []*cellArtifact // per-cell exploration artifacts
+	resumed []bool          // the cell's artifact was loaded from the store
+	owners  []string        // provenance: who produced the artifact
+	cache   *seqcache.Cache // rendered-sequence cache (memory-only without SeqCacheDir)
+	seqMu   sync.Mutex      // guards seqSrc
+	seqSrc  []string        // provenance: where each cell's sequence came from
 
 	evals  *evalstore.Store             // persistent evaluation store (nil without EvalCacheDir)
 	memoMu sync.Mutex                   // guards memos
@@ -265,10 +250,8 @@ func newRunner(opts Options) (*runner, error) {
 		r.evals.InjectFaults(opts.evalFaults)
 	}
 	n := len(r.cells)
-	r.screens = make([]*cellArtifact, n)
 	r.arts = make([]*cellArtifact, n)
 	r.resumed = make([]bool, n)
-	r.promoted = make([]bool, n)
 	r.owners = make([]string, n)
 	r.seqSrc = make([]string, n)
 	return r, nil
@@ -344,38 +327,32 @@ func deviceKey(p device.Profile) string {
 	return fmt.Sprintf("%+v", p)
 }
 
-// artifactName keys a cell's exploration artifact: the fidelity kind,
+// artifactName keys a cell's exploration artifact: the fidelity label,
 // the grid index, and a content hash of everything that determines the
 // artifact's bytes — the cell spec, the derived seed, and the
-// exploration options of that fidelity. Workers and Log are
-// deliberately excluded (results are bit-identical for any worker
-// count, so a campaign interrupted under -workers 1 resumes under
-// -workers 8), and so are the promotion-policy knobs
-// (CellPromoteFraction, MaxFrontCandidates) that decide *whether* a
-// cell's stage runs, never what it produces — changing the promoted
-// share on resume reuses every overlapping artifact.
-func (r *runner) artifactName(cell Cell, fidelity string) string {
+// exploration options. Workers and Log are deliberately excluded
+// (results are bit-identical for any worker count, so a campaign
+// interrupted under -workers 1 resumes under -workers 8), and so is
+// MaxFrontCandidates, which shapes the cross-measurement's candidate
+// set (keyed by its own hash), never an exploration.
+func (r *runner) artifactName(cell Cell) string {
 	o := r.opts
 	h := sha256.New()
-	fmt.Fprintf(h, "v%d|%s|", storeVersion, fidelity)
+	fmt.Fprintf(h, "v%d|%s|", storeVersion, FidelityFull)
 	fmt.Fprintf(h, "scenario=%s|scale=%+v|target=%+v|", cell.Scenario.Name, cell.Scenario.Scale, cell.Target)
 	fmt.Fprintf(h, "seed=%d|cellseed=%d|", o.Seed, cellSeed(o.Seed, cell.Index))
 	fmt.Fprintf(h, "explore=%d/%d/%d|limit=%g|",
 		o.RandomSamples, o.ActiveIterations, o.BatchPerIteration, o.AccuracyLimit)
-	if fidelity == FidelityScreen {
-		fmt.Fprintf(h, "cellstride=%d|", o.CellStride)
-	} else {
-		fmt.Fprintf(h, "mf=%d/%g|", o.FidelityStride, o.PromoteFraction)
-	}
+	fmt.Fprintf(h, "mf=%d/%g|", o.FidelityStride, o.PromoteFraction)
 	// A warm-started borrower's artifact depends on its donor topology
 	// and reduced seeding budget, so those enter its key — and only its:
 	// anchors and transfer-off cells keep their pre-transfer names, so a
 	// transfer-off campaign resumes a transfer-on store's anchors and
 	// vice versa.
-	if donors := r.transferDonors(cell, fidelity); donors != nil {
+	if donors := r.donors[cell.Index]; donors != nil {
 		fmt.Fprintf(h, "transfer=%v/%d|", donors, o.TransferSeeds)
 	}
-	return fmt.Sprintf("%s-c%03d-%s", fidelity, cell.Index, hex.EncodeToString(h.Sum(nil))[:16])
+	return fmt.Sprintf("%s-c%03d-%s", FidelityFull, cell.Index, hex.EncodeToString(h.Sum(nil))[:16])
 }
 
 // crossName keys a cell's cross-measurement artifact on the cell spec
@@ -388,18 +365,16 @@ func (r *runner) crossName(cell Cell, candHash string) string {
 	return fmt.Sprintf("cross-c%03d-%s", cell.Index, hex.EncodeToString(h.Sum(nil))[:16])
 }
 
-// explore is the Explore stage: every cell's exploration at screening
-// fidelity when the cell ladder is on, at full fidelity otherwise.
-// With Options.Transfer it runs as two waves — anchors from scratch,
-// then borrowers warm-started from the anchors (see transfer.go); the
-// wave boundary is a plain artifact dependency, so resume, takeover and
+// explore is the Explore stage: every cell's exploration. With
+// Options.Transfer it runs as two waves — anchors from scratch, then
+// borrowers warm-started from the anchors (see transfer.go); the wave
+// boundary is a plain artifact dependency, so resume, takeover and
 // quarantine behave exactly as in the flat schedule.
 func (r *runner) explore() error {
-	fidelity := r.exploreFidelity()
 	if !r.opts.Transfer {
-		return r.exploreWave(allIndices(len(r.cells)), fidelity)
+		return r.exploreWave(allIndices(len(r.cells)))
 	}
-	if err := r.exploreWave(r.anchors, fidelity); err != nil {
+	if err := r.exploreWave(r.anchors); err != nil {
 		return err
 	}
 	var borrowers []int
@@ -408,25 +383,21 @@ func (r *runner) explore() error {
 			borrowers = append(borrowers, i)
 		}
 	}
-	return r.exploreWave(borrowers, fidelity)
+	return r.exploreWave(borrowers)
 }
 
 // exploreWave runs one explore fan-out over the given cell indices.
-func (r *runner) exploreWave(idxs []int, fidelity string) error {
+func (r *runner) exploreWave(idxs []int) error {
 	outs := parallel.MapOrdered(r.opts.Workers, idxs, func(_ int, idx int) *cellOutcome {
-		return r.cellStage(StageExplore, r.cells[idx], fidelity)
+		return r.cellStage(r.cells[idx])
 	})
 	for k, idx := range idxs {
 		o := outs[k]
 		if o.err != nil {
 			return o.err
 		}
-		if fidelity == FidelityScreen {
-			r.screens[idx] = o.art
-		} else {
-			r.arts[idx] = o.art
-		}
-		r.resumed[idx] = r.resumed[idx] || o.resumed
+		r.arts[idx] = o.art
+		r.resumed[idx] = o.resumed
 		r.owners[idx] = o.owner
 	}
 	return nil
@@ -441,30 +412,30 @@ func allIndices(n int) []int {
 	return out
 }
 
-// cellStage produces one cell's exploration artifact at the given
-// fidelity: loaded from the checkpoint store when a peer (or a prior
-// run) completed it, computed here otherwise (see once).
-func (r *runner) cellStage(stage Stage, cell Cell, fidelity string) *cellOutcome {
-	out := r.cellStageLocked(cell, fidelity)
-	r.emitCell(stage, cell, out)
+// cellStage produces one cell's exploration artifact: loaded from the
+// checkpoint store when a peer (or a prior run) completed it, computed
+// here otherwise (see once).
+func (r *runner) cellStage(cell Cell) *cellOutcome {
+	out := r.cellStageLocked(cell)
+	r.emitCell(cell, out)
 	return out
 }
 
-func (r *runner) cellStageLocked(cell Cell, fidelity string) *cellOutcome {
-	name := r.artifactName(cell, fidelity)
+func (r *runner) cellStageLocked(cell Cell) *cellOutcome {
+	name := r.artifactName(cell)
 	var out *cellOutcome
 	load := func() (bool, error) {
 		art := &cellArtifact{}
 		ok, err := r.load(name, art)
-		if err != nil || !ok || art.Fidelity != fidelity {
+		if err != nil || !ok {
 			return false, err
 		}
-		r.logf("cell %d (%s on %s): resumed %s exploration from checkpoint",
-			cell.Index, cell.Scenario.Name, cell.Target.Name, fidelity)
+		r.logf("cell %d (%s on %s): resumed exploration from checkpoint",
+			cell.Index, cell.Scenario.Name, cell.Target.Name)
 		out = &cellOutcome{art: art, resumed: true, owner: "store"}
 		return true, nil
 	}
-	if err := r.once(cell, name, load, func() { out = r.computeCell(cell, fidelity, name) }); err != nil {
+	if err := r.once(cell, name, load, func() { out = r.computeCell(cell, name) }); err != nil {
 		return &cellOutcome{err: err}
 	}
 	return out
@@ -514,8 +485,8 @@ func (r *runner) load(name string, out any) (bool, error) {
 
 // computeCell explores the cell (quarantining panics), persists the
 // artifact and reports the outcome.
-func (r *runner) computeCell(cell Cell, fidelity, name string) *cellOutcome {
-	art, err := r.exploreCellQuarantined(cell, fidelity)
+func (r *runner) computeCell(cell Cell, name string) *cellOutcome {
+	art, err := r.exploreCellQuarantined(cell)
 	if err != nil {
 		return &cellOutcome{err: err}
 	}
@@ -526,11 +497,11 @@ func (r *runner) computeCell(cell Cell, fidelity, name string) *cellOutcome {
 		}
 	}
 	if art.Failed {
-		r.logf("cell %d (%s on %s): %s exploration FAILED (quarantined): %s",
-			cell.Index, cell.Scenario.Name, cell.Target.Name, fidelity, art.FailureReason)
+		r.logf("cell %d (%s on %s): exploration FAILED (quarantined): %s",
+			cell.Index, cell.Scenario.Name, cell.Target.Name, art.FailureReason)
 	} else {
-		r.logf("cell %d (%s on %s): %s exploration, %d evaluations, front %d",
-			cell.Index, cell.Scenario.Name, cell.Target.Name, fidelity,
+		r.logf("cell %d (%s on %s): exploration, %d evaluations, front %d",
+			cell.Index, cell.Scenario.Name, cell.Target.Name,
 			art.Evaluations, len(art.Front))
 	}
 	return &cellOutcome{art: art, owner: r.workerLabel()}
@@ -543,20 +514,20 @@ func (r *runner) computeCell(cell Cell, fidelity, name string) *cellOutcome {
 // Non-panic errors (a sequence that cannot render, a store fault) still
 // abort the campaign: they signal broken infrastructure, not one
 // poisoned configuration.
-func (r *runner) exploreCellQuarantined(cell Cell, fidelity string) (art *cellArtifact, err error) {
+func (r *runner) exploreCellQuarantined(cell Cell) (art *cellArtifact, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.logf("cell %d (%s on %s): panic quarantined: %v",
 				cell.Index, cell.Scenario.Name, cell.Target.Name, p)
-			art, err = failedArtifact(cell, fidelity, p), nil
+			art, err = failedArtifact(cell, p), nil
 		}
 	}()
-	return r.exploreCell(cell, fidelity)
+	return r.exploreCell(cell)
 }
 
-// exploreCell runs one cell's constrained Fig2-style exploration at the
-// given fidelity and packages the outcome as an artifact.
-func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) {
+// exploreCell runs one cell's constrained Fig2-style exploration and
+// packages the outcome as an artifact.
+func (r *runner) exploreCell(cell Cell) (*cellArtifact, error) {
 	seq, err := r.sequence(cell)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s/%s: %w", cell.Scenario.Name, cell.Target.Name, err)
@@ -568,30 +539,18 @@ func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) 
 		AccuracyLimit:     r.opts.AccuracyLimit,
 		Seed:              cellSeed(r.opts.Seed, cell.Index),
 		Workers:           r.opts.Workers,
+		FidelityStride:    r.opts.FidelityStride,
+		PromoteFraction:   r.opts.PromoteFraction,
 		// Each rung simulates under the instrumentation, beneath a memo
 		// backed by the evaluation store at the rung's stride, so memo
-		// and store hits never count as simulations. The class comes
-		// from the fidelity explored at: the screening stride and the
-		// ladder's may be equal.
+		// and store hits never count as simulations.
 		Memo: func(stride int, eval hypermapper.Evaluator) *hypermapper.MemoEvaluator {
 			class := simFull
-			switch {
-			case fidelity == FidelityScreen:
-				class = simScreen
-			case stride > 1:
+			if stride > 1 {
 				class = simLadderLow
 			}
 			return r.memo(cell, stride, r.instrument(cell, class, eval))
 		},
-	}
-	if fidelity == FidelityScreen {
-		// Screening rung of the cell ladder: the whole exploration runs
-		// on the CellStride-subsampled sequence. No intra-cell ladder on
-		// top — the workload is already cheap by the stride.
-		opts.Stride = r.opts.CellStride
-	} else {
-		opts.FidelityStride = r.opts.FidelityStride
-		opts.PromoteFraction = r.opts.PromoteFraction
 	}
 	// Warm-started borrower: concentrate a reduced seeding budget around
 	// the donors' winners and bias acquisition with a prior pooled from
@@ -602,9 +561,9 @@ func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) 
 	var transferDonors []string
 	var transferSeeds int
 	transferBorrower := false
-	if donors := r.transferDonors(cell, fidelity); donors != nil {
+	if donors := r.donors[cell.Index]; donors != nil {
 		transferBorrower = true
-		donorSets, donorPoints, labels := r.donorData(fidelity, donors)
+		donorSets, donorPoints, labels := r.donorData(donors)
 		if len(donorPoints) > 0 {
 			transferDonors, transferSeeds = labels, len(donorPoints)
 			opts.RandomSamples = r.opts.TransferSeeds
@@ -630,7 +589,7 @@ func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) 
 	return &cellArtifact{
 		Scenario:          cell.Scenario.Name,
 		Device:            cell.Target.Name,
-		Fidelity:          fidelity,
+		Fidelity:          FidelityFull,
 		Observations:      ex.Result.Observations,
 		Front:             ex.Result.Front,
 		BestFeasible:      ex.Best,
@@ -644,69 +603,12 @@ func (r *runner) exploreCell(cell Cell, fidelity string) (*cellArtifact, error) 
 	}, nil
 }
 
-// promote is the Promote stage of the cell-level ladder: score every
-// screened front's hypervolume against a shared reference, promote the
-// top CellPromoteFraction of cells (index-tie-broken, like the
-// intra-cell ladder) and re-explore only those at full fidelity.
-// Without the cell ladder every cell is already at full fidelity and
-// the stage is a no-op. The decision is a pure function of the
-// screening artifacts, so a resumed campaign re-derives the identical
-// promoted set instead of persisting it.
-func (r *runner) promote() error {
-	if r.opts.CellStride <= 1 {
-		return nil
-	}
-	fronts := make([][]hypermapper.Observation, len(r.cells))
-	for i, s := range r.screens {
-		fronts[i] = s.Front
-	}
-	hv := hypermapper.FrontHypervolumes(fronts, hypermapper.RuntimeAccuracy)
-	// PromoteTopFraction takes lower-is-better scores; bigger dominated
-	// hypervolume means a more competitive front.
-	scores := make([]float64, len(hv))
-	for i, v := range hv {
-		scores[i] = -v
-	}
-	// A quarantined screen has no front to score; drop it from the
-	// promoted set rather than re-detonating the cell at full fidelity.
-	// Pure function of the (persisted) screening artifacts, so resumed
-	// runs and every cooperating worker derive the same set.
-	chosen := hypermapper.PromoteTopFraction(scores, r.opts.CellPromoteFraction)
-	live := chosen[:0]
-	for _, idx := range chosen {
-		if !r.screens[idx].Failed {
-			live = append(live, idx)
-		}
-	}
-	chosen = live
-	r.logf("promote: %d of %d cells promoted to full fidelity", len(chosen), len(r.cells))
-
-	outs := parallel.MapOrdered(r.opts.Workers, chosen, func(_ int, idx int) *cellOutcome {
-		return r.cellStage(StagePromote, r.cells[idx], FidelityFull)
-	})
-	for k, idx := range chosen {
-		if outs[k].err != nil {
-			return outs[k].err
-		}
-		r.arts[idx] = outs[k].art
-		r.promoted[idx] = true
-		r.resumed[idx] = r.resumed[idx] || outs[k].resumed
-		r.owners[idx] = outs[k].owner
-	}
-	for i := range r.cells {
-		if r.arts[i] == nil {
-			r.arts[i] = r.screens[i]
-		}
-	}
-	return nil
-}
-
 // crossMeasure is the CrossMeasure stage: build the robust candidate
 // set (the default configuration plus every cell's best feasible and
 // leading front members, deduplicated in grid order) and measure every
-// candidate in every cell at full fidelity. Cells explored at full
-// fidelity preload their cross-measurement memo from the explore
-// artifact, so home-cell repeats cost a map probe; per-cell metric
+// candidate in every cell at full fidelity. Each cell preloads its
+// cross-measurement memo from its explore artifact, so home-cell
+// repeats cost a map probe; per-cell metric
 // vectors are persisted so a completed stage is never re-run on
 // resume. The cell is the unit of distribution: in cooperative worker
 // mode each cell's vector is computed under its cross-artifact lease
@@ -814,14 +716,12 @@ func (r *runner) measureCell(j int, cell Cell, candidates []hypermapper.Point, n
 	}
 	memo := r.memo(cell, 1,
 		r.instrument(cell, simCross, r.sim.NewEvaluator(r.space, seq, device.NewModel(cell.Target))))
-	if art := r.arts[j]; art.Fidelity == FidelityFull {
-		// The shared donor/preload filter (hypermapper.FullObservations)
-		// drops LowFidelity and Failed observations; MemoEvaluator.Preload
-		// re-applies the low-fidelity guard itself, so neither this call
-		// site nor any future one can leak a subsampled metric into a
-		// full-fidelity memo.
-		memo.Preload(hypermapper.FullObservations(art.Observations))
-	}
+	// The shared donor/preload filter (hypermapper.FullObservations)
+	// drops LowFidelity and Failed observations; MemoEvaluator.Preload
+	// re-applies the low-fidelity guard itself, so neither this call site
+	// nor any future one can leak a subsampled metric into a
+	// full-fidelity memo.
+	memo.Preload(hypermapper.FullObservations(r.arts[j].Observations))
 	metrics := parallel.MapOrdered(r.opts.Workers, candidates, func(_ int, pt hypermapper.Point) hypermapper.Metrics {
 		return measureQuarantined(memo.Evaluate, pt)
 	})
@@ -921,11 +821,7 @@ func (r *runner) result(stopped Stage) *Result {
 		res.MemoMisses += miss
 	}
 	r.memoMu.Unlock()
-	for i := range r.cells {
-		art := r.arts[i]
-		if art == nil {
-			art = r.screens[i]
-		}
+	for i, art := range r.arts {
 		if art == nil {
 			continue // stopped before any exploration artifact existed
 		}
@@ -938,7 +834,6 @@ func (r *runner) result(stopped Stage) *Result {
 			FullFidelityEvals: art.FullFidelityEvals,
 			LowFidelityEvals:  art.LowFidelityEvals,
 			Fidelity:          art.Fidelity,
-			Promoted:          r.promoted[i],
 			Resumed:           r.resumed[i],
 			Owner:             r.owners[i],
 			SeqSource:         r.seqSrc[i],
@@ -951,10 +846,9 @@ func (r *runner) result(stopped Stage) *Result {
 		// The exploration transfers across cells, the explanation stays
 		// local: decision rules are extracted from this cell's own
 		// full-fidelity observations only (screening metrics would
-		// mislabel PaperClasses' absolute thresholds, so screened cells
-		// report no rules). Opt-in because the rule strings enlarge the
-		// JSON surface.
-		if r.opts.Knowledge && !art.Failed && art.Fidelity == FidelityFull {
+		// mislabel PaperClasses' absolute thresholds). Opt-in because the
+		// rule strings enlarge the JSON surface.
+		if r.opts.Knowledge && !art.Failed {
 			label, names := hypermapper.PaperClasses(r.opts.AccuracyLimit, 30, 3.0)
 			full := hypermapper.FullObservations(art.Observations)
 			if _, rules, err := hypermapper.Knowledge(r.space, full, label, names, 3); err == nil {
@@ -962,13 +856,6 @@ func (r *runner) result(stopped Stage) *Result {
 					c.Knowledge = append(c.Knowledge, rule.String())
 				}
 			}
-		}
-		// A promoted cell spent its screening budget too; fold it into
-		// the cell's totals (the full-explore artifact stays pure so it
-		// is shared with campaigns that never screened).
-		if r.promoted[i] && r.screens[i] != nil && art.Fidelity == FidelityFull {
-			c.Evaluations += r.screens[i].Evaluations
-			c.LowFidelityEvals += r.screens[i].LowFidelityEvals
 		}
 		res.Cells = append(res.Cells, c)
 	}

@@ -93,10 +93,11 @@ func donorIndices(idx, nTargets int, anchors []int) []int {
 	return out
 }
 
-// planTransfer fills r.anchors and r.donors from the grid shape when
-// transfer is on: donors[i] is nil for anchors, the fixed donor index
-// list for borrowers.
+// planTransfer fills r.anchors and r.donors from the grid shape:
+// donors[i] is the fixed donor index list of a borrower, nil for an
+// anchor and for every cell of a transfer-off campaign.
 func (r *runner) planTransfer() {
+	r.donors = make([][]int, len(r.cells))
 	if !r.opts.Transfer {
 		return
 	}
@@ -106,41 +107,11 @@ func (r *runner) planTransfer() {
 	for _, a := range r.anchors {
 		isAnchor[a] = true
 	}
-	r.donors = make([][]int, len(r.cells))
 	for i := range r.cells {
 		if !isAnchor[i] {
 			r.donors[i] = donorIndices(i, nTargets, r.anchors)
 		}
 	}
-}
-
-// transferDonors returns the borrower's donor indices, or nil when the
-// cell explores from scratch (transfer off, anchor cell, or a stage
-// other than the explore wave — the promote stage's full-fidelity
-// re-exploration of a screened cell never warm-starts, its screening
-// observations already cover the local landscape).
-func (r *runner) transferDonors(cell Cell, fidelity string) []int {
-	if r.donors == nil || fidelity != r.exploreFidelity() {
-		return nil
-	}
-	return r.donors[cell.Index]
-}
-
-// exploreFidelity is the fidelity the Explore stage runs at.
-func (r *runner) exploreFidelity() string {
-	if r.opts.CellStride > 1 {
-		return FidelityScreen
-	}
-	return FidelityFull
-}
-
-// waveArtifact returns the cell's explore-wave artifact (screening
-// slot when the cell ladder is on, final slot otherwise).
-func (r *runner) waveArtifact(idx int, fidelity string) *cellArtifact {
-	if fidelity == FidelityScreen {
-		return r.screens[idx]
-	}
-	return r.arts[idx]
 }
 
 // donorData assembles a borrower's transfer inputs from its donor
@@ -154,10 +125,10 @@ func (r *runner) waveArtifact(idx int, fidelity string) *cellArtifact {
 // starts. Quarantined donors and donors with no usable full-fidelity
 // observations contribute nothing; with every donor empty the borrower
 // degrades to exploring from scratch.
-func (r *runner) donorData(fidelity string, donors []int) (sets [][]hypermapper.Observation, points []hypermapper.Point, labels []string) {
+func (r *runner) donorData(donors []int) (sets [][]hypermapper.Observation, points []hypermapper.Point, labels []string) {
 	var perDonor [][]hypermapper.Point
 	for _, idx := range donors {
-		art := r.waveArtifact(idx, fidelity)
+		art := r.arts[idx]
 		if art == nil || art.Failed {
 			continue
 		}

@@ -256,6 +256,12 @@ func simulate(pipes *kfusion.Pipelines, seq dataset.Sequence, cfg kfusion.Config
 	if err != nil {
 		return Trace{}, err
 	}
+	return traceOf(sum), nil
+}
+
+// traceOf keeps the device-free part of a run summary: each frame's
+// cost, the max ATE and the tracked share.
+func traceOf(sum *slambench.Summary) Trace {
 	t := Trace{
 		Costs:           make([]imgproc.Cost, len(sum.Records)),
 		MaxATE:          sum.ATE.Max,
@@ -264,7 +270,7 @@ func simulate(pipes *kfusion.Pipelines, seq dataset.Sequence, cfg kfusion.Config
 	for i, rec := range sum.Records {
 		t.Costs[i] = rec.Cost
 	}
-	return t, nil
+	return t
 }
 
 func evaluate(pipes *kfusion.Pipelines, seq dataset.Sequence, model *device.Model, cfg kfusion.Config) hypermapper.Metrics {
@@ -288,17 +294,13 @@ type ExploreOptions struct {
 	// the surrogates' parallelism (0 means GOMAXPROCS). The exploration
 	// is identical for any value.
 	Workers int
-	// Stride > 1 runs the whole exploration on the sequence subsampled
-	// by this stride: a screening exploration, all of whose runs are
-	// low-fidelity spend.
-	Stride int
 	// FidelityStride > 1 turns on the multi-fidelity ladder: every batch
-	// is screened on the explored sequence subsampled by this stride,
-	// and only the most promising PromoteFraction of it (default 0.25)
-	// runs on the explored sequence. The ranking is constraint-aware:
-	// failed runs rank last, runs over the accuracy limit behind every
-	// feasible one. Without Stride the promoted runs are the full-fidelity
-	// spend and the screening runs the low-fidelity spend.
+	// is screened on the sequence subsampled by this stride, and only the
+	// most promising PromoteFraction of it (default 0.25) runs on the
+	// full sequence. The ranking is constraint-aware: failed runs rank
+	// last, runs over the accuracy limit behind every feasible one. The
+	// promoted runs are the full-fidelity spend and the screening runs
+	// the low-fidelity spend.
 	FidelityStride  int
 	PromoteFraction float64
 	// Seeder and Prior warm-start the optimizer (see
@@ -316,11 +318,11 @@ type ExploreOptions struct {
 // Exploration is the outcome of Simulator.Explore.
 type Exploration struct {
 	Result *hypermapper.Result
-	// Eval is the memoized evaluator of the explored sequence, for point
+	// Eval is the memoized evaluator of the full sequence, for point
 	// queries (a random baseline, the default marker) that should share
 	// the exploration's cache.
 	Eval hypermapper.Evaluator
-	// FullEvals and LowEvals count the simulations spent on the explored
+	// FullEvals and LowEvals count the simulations spent on the full
 	// sequence and on screening runs.
 	FullEvals, LowEvals int
 	// Best is the fastest observation within the accuracy limit; HasBest
@@ -342,8 +344,7 @@ func (s *Simulator) Explore(space *hypermapper.Space, seq dataset.Sequence, mode
 		}
 		return opts.Memo(stride, eval).Evaluate
 	}
-	stride := max(opts.Stride, 1)
-	ex := &Exploration{Eval: rung(stride)}
+	ex := &Exploration{Eval: rung(1)}
 
 	cfg := hypermapper.DefaultOptimizerConfig()
 	if opts.RandomSamples > 0 {
@@ -363,7 +364,7 @@ func (s *Simulator) Explore(space *hypermapper.Space, seq dataset.Sequence, mode
 	if opts.FidelityStride > 1 {
 		limit := opts.AccuracyLimit
 		ladder = &hypermapper.MultiFidelity{
-			Low:             rung(stride * opts.FidelityStride),
+			Low:             rung(opts.FidelityStride),
 			High:            ex.Eval,
 			PromoteFraction: opts.PromoteFraction,
 			Rank: func(m hypermapper.Metrics) float64 {
@@ -387,12 +388,9 @@ func (s *Simulator) Explore(space *hypermapper.Space, seq dataset.Sequence, mode
 		return nil, err
 	}
 	ex.Result = res
-	switch {
-	case stride > 1:
-		ex.LowEvals = len(res.Observations)
-	case ladder != nil:
+	if ladder != nil {
 		ex.LowEvals, ex.FullEvals = ladder.Stats()
-	default:
+	} else {
 		ex.FullEvals = len(res.Observations)
 	}
 	ex.Best, ex.HasBest = hypermapper.Best(res.Observations,

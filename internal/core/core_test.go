@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -143,9 +144,19 @@ func TestComputeSizeRatioTradeoffShape(t *testing.T) {
 
 func TestRunFig1(t *testing.T) {
 	scale := QuickScale()
-	res, err := RunFig1(render(t, scale))
+	seq := render(t, scale)
+	res, err := RunFig1(seq)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The live run's trace is the simulation's, so RunHeadline can
+	// replay it instead of simulating the default configuration again.
+	sim, err := Simulate(seq, kfusion.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Trace, sim) {
+		t.Fatal("RunFig1's trace differs from a simulation of the default configuration")
 	}
 	s := res.Summary
 	if s.Frames != scale.Frames {
@@ -199,9 +210,8 @@ func TestReplayMatchesEvaluate(t *testing.T) {
 }
 
 // TestExploreRungs pins how Explore wires its rungs: the Memo hook sees
-// each rung's stride of the full sequence (a ladder inside a strided
-// exploration screens at the product), and the spend is low fidelity
-// for a strided exploration, split by the ladder, full otherwise.
+// each rung's stride of the full sequence, and the spend is full
+// fidelity without the ladder and split by it with one.
 func TestExploreRungs(t *testing.T) {
 	scale := QuickScale()
 	scale.Frames = 8
@@ -212,18 +222,17 @@ func TestExploreRungs(t *testing.T) {
 	model := device.NewModel(device.OdroidXU3())
 	var sim Simulator
 	for _, c := range []struct {
-		stride, ladder int
-		rungs          []int
+		ladder int
+		rungs  []int
 	}{
-		{1, 2, []int{1, 2}},
-		{2, 1, []int{2}},
-		{2, 2, []int{2, 4}},
+		{1, []int{1}},
+		{2, []int{1, 2}},
 	} {
 		var rungs []int
 		ex, err := sim.Explore(DSESpace(), seq, model, ExploreOptions{
 			RandomSamples: 3, ActiveIterations: 1, BatchPerIteration: 2,
 			AccuracyLimit: 0.08, Seed: 1, Workers: 2,
-			Stride: c.stride, FidelityStride: c.ladder, PromoteFraction: 0.5,
+			FidelityStride: c.ladder, PromoteFraction: 0.5,
 			Memo: func(stride int, eval hypermapper.Evaluator) *hypermapper.MemoEvaluator {
 				rungs = append(rungs, stride)
 				return hypermapper.NewMemoEvaluator(eval)
@@ -233,13 +242,13 @@ func TestExploreRungs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !slices.Equal(rungs, c.rungs) {
-			t.Errorf("stride %d, ladder %d: rungs at strides %v, want %v", c.stride, c.ladder, rungs, c.rungs)
+			t.Errorf("ladder %d: rungs at strides %v, want %v", c.ladder, rungs, c.rungs)
 		}
 		n := len(ex.Result.Observations)
 		switch {
-		case c.stride > 1 && (ex.LowEvals != n || ex.FullEvals != 0):
-			t.Errorf("strided exploration spent %d full, %d low for %d observations", ex.FullEvals, ex.LowEvals, n)
-		case c.stride == 1 && (ex.LowEvals != n || ex.FullEvals == 0 || ex.FullEvals >= n):
+		case c.ladder == 1 && (ex.FullEvals != n || ex.LowEvals != 0):
+			t.Errorf("exploration spent %d full, %d low for %d observations", ex.FullEvals, ex.LowEvals, n)
+		case c.ladder > 1 && (ex.LowEvals != n || ex.FullEvals == 0 || ex.FullEvals >= n):
 			t.Errorf("ladder spent %d full, %d low for %d observations", ex.FullEvals, ex.LowEvals, n)
 		}
 	}

@@ -19,6 +19,9 @@ import (
 // (Figure 1's live read-outs).
 type Fig1Result struct {
 	Summary *slambench.Summary
+	// Trace is the run's simulation, the default configuration's trace
+	// that RunHeadline replays.
+	Trace Trace
 }
 
 // RunFig1 benchmarks the default configuration on seq over the XU3
@@ -29,7 +32,7 @@ func RunFig1(seq dataset.Sequence) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Fig1Result{Summary: sum}, nil
+	return &Fig1Result{Summary: sum, Trace: traceOf(sum)}, nil
 }
 
 // Fig2Options parameterise the DSE experiment.
@@ -235,19 +238,16 @@ type HeadlineResult struct {
 }
 
 // RunHeadline derives the headline numbers from a Fig2 exploration of
-// seq. It simulates the default and the tuned configuration once each
-// and replays the tuned one at every XU3 operating point.
-func RunHeadline(fig2 *Fig2Result, seq dataset.Sequence) (*HeadlineResult, error) {
+// seq and the default configuration's trace on seq (Fig1Result.Trace).
+// It simulates the tuned configuration once and replays it at every XU3
+// operating point.
+func RunHeadline(fig2 *Fig2Result, def Trace, seq dataset.Sequence) (*HeadlineResult, error) {
 	if !fig2.HasBestFeasible {
 		return nil, fmt.Errorf("core: exploration found no configuration with max ATE ≤ %.3f", fig2.AccuracyLimit)
 	}
 	tunedCfg, err := ConfigFromPoint(fig2.Space, fig2.BestFeasible.X)
 	if err != nil {
 		return nil, err
-	}
-	def, err := Simulate(seq, kfusion.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("core: default configuration: %w", err)
 	}
 	tuned, err := Simulate(seq, tunedCfg)
 	if err != nil {

@@ -17,6 +17,17 @@ func render(t *testing.T, s Scale) dataset.Sequence {
 	return seq
 }
 
+// defaultTrace is the default configuration's trace on seq, as E1's run
+// hands it to RunHeadline.
+func defaultTrace(t *testing.T, seq dataset.Sequence) Trace {
+	t.Helper()
+	fig1, err := RunFig1(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig1.Trace
+}
+
 // fig2Quick runs a small but real DSE on seq (shared across the
 // experiment tests to amortise its cost).
 func fig2Quick(t *testing.T, seq dataset.Sequence) *Fig2Result {
@@ -79,7 +90,7 @@ func TestFig2AndHeadlineAndFig3(t *testing.T) {
 	}
 
 	// --- Headline: tuned must be faster than default, and accurate.
-	head, err := RunHeadline(fig2, seq)
+	head, err := RunHeadline(fig2, defaultTrace(t, seq), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +171,7 @@ func TestFig2LadderBaselineBudget(t *testing.T) {
 
 func TestRunHeadlineRequiresFeasible(t *testing.T) {
 	fig2 := &Fig2Result{AccuracyLimit: 0.05}
-	if _, err := RunHeadline(fig2, nil); err == nil {
+	if _, err := RunHeadline(fig2, Trace{}, nil); err == nil {
 		t.Fatal("headline without feasible config accepted")
 	}
 }

@@ -233,10 +233,11 @@ func goldenFig2() *Fig2Result {
 	}
 }
 
-// TestRunHeadlineGolden pins RunHeadline bit for bit on goldenFig2 at
-// quick scale.
+// TestRunHeadlineGolden pins RunHeadline bit for bit on goldenFig2 and
+// E1's default trace at quick scale.
 func TestRunHeadlineGolden(t *testing.T) {
-	head, err := RunHeadline(goldenFig2(), render(t, QuickScale()))
+	seq := render(t, QuickScale())
+	head, err := RunHeadline(goldenFig2(), defaultTrace(t, seq), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,8 @@ func TestRunHeadlineGolden(t *testing.T) {
 // on to RunFig3 are the ones behind its figures: replayed on the
 // nominal XU3 they give Default and TunedPerf bit for bit.
 func TestRunHeadlineTracesReplay(t *testing.T) {
-	head, err := RunHeadline(goldenFig2(), render(t, QuickScale()))
+	seq := render(t, QuickScale())
+	head, err := RunHeadline(goldenFig2(), defaultTrace(t, seq), seq)
 	if err != nil {
 		t.Fatal(err)
 	}

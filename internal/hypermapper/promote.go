@@ -5,12 +5,10 @@ import (
 	"sort"
 )
 
-// This file is the shared promotion machinery of the two fidelity
-// ladders: the batch-level ladder (MultiFidelity promotes candidates
-// within one cell's exploration) and the campaign's cell-level ladder
-// (whole scenario × device cells are promoted from a cheap screening
-// exploration to a full-fidelity one). Both rank with PromoteTopFraction
-// so they share a single deterministic tie-breaking rule.
+// This file is the promotion machinery of the multi-fidelity ladder
+// (MultiFidelity promotes the most promising candidates of a batch to a
+// full-fidelity run) and the shared-reference front scoring that
+// compares campaign reports.
 
 // PromoteTopFraction selects the indices of the most promising entries
 // of a scored batch: the ceil(fraction·len(scores)) entries with the
@@ -50,12 +48,10 @@ func PromoteTopFraction(scores []float64, fraction float64) []int {
 // one shared reference point: the componentwise maximum over every
 // member of every front, inflated by 5% so boundary points still
 // dominate area. The result is each front's dominated hypervolume
-// (higher = more competitive); an empty front scores 0. This is the
-// campaign engine's cell-competitiveness measure — cells whose screened
-// fronts carve out the most area against the grid-wide reference are
-// the ones worth full-fidelity exploration. The reference depends only
-// on the front contents, so the scores are deterministic for any
-// worker count.
+// (higher = more competitive); an empty front scores 0. cmd/campaigncmp
+// compares the front quality of two campaign reports with it. The
+// reference depends only on the front contents, so the scores are
+// deterministic for any worker count.
 func FrontHypervolumes(fronts [][]Observation, objectives Objectives) []float64 {
 	out := make([]float64, len(fronts))
 	var ref []float64

@@ -4,7 +4,7 @@
 // as long-lived resumable jobs over a shared evaluation store and
 // sequence cache, the SSE progress stream, graceful drain, and
 // append-formatted access logging. cmd/dseserve is the binary shell
-// around this package; cmd/dsesoak the load client.
+// around this package.
 package serve
 
 import (

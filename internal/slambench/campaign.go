@@ -25,20 +25,13 @@ type CampaignCell struct {
 	// cross-measures candidates on top of this).
 	FullFidelityEvals int `json:"full_fidelity_evals"`
 	// LowFidelityEvals is the number of reduced-workload simulations the
-	// exploration spent — cell-ladder screening runs and intra-cell
-	// ladder screening runs alike.
+	// exploration spent: the multi-fidelity ladder's screening runs.
 	LowFidelityEvals int `json:"low_fidelity_evals,omitempty"`
 	// FrontSize is the cell's Pareto-front cardinality.
 	FrontSize int `json:"front_size"`
-	// Fidelity is the fidelity the cell's reported exploration ran at:
-	// "full", or "screen" for an unpromoted cell of the campaign's
-	// cell-level multi-fidelity ladder. Deterministic (the promotion
-	// policy is a pure function of the seeded exploration), so it is
-	// part of every report format.
+	// Fidelity is the fidelity the cell's reported exploration ran at
+	// ("full"). Deterministic, so it is part of every report format.
 	Fidelity string `json:"fidelity,omitempty"`
-	// Promoted reports that the cell-level ladder promoted this cell
-	// from screening to full-fidelity exploration.
-	Promoted bool `json:"promoted,omitempty"`
 	// Resumed reports that the cell was loaded from a checkpoint store
 	// instead of being explored in this run. Execution provenance — it
 	// differs between a fresh and a resumed run of the same campaign —
@@ -264,6 +257,8 @@ func WriteCampaignTable(w io.Writer, r *CampaignReport) error {
 // WriteCampaignCSV emits one row per cell, suitable for external
 // plotting of cross-scenario comparisons.
 func WriteCampaignCSV(w io.Writer, r *CampaignReport) error {
+	// The promoted column always reads 0 (every cell explores at full
+	// fidelity); it stays so that the CSV schema does not change.
 	header := "scenario,device,fidelity,promoted,failed,evaluations,full_fidelity,low_fidelity,front_size,feasible,best_runtime,best_max_ate,best_power,robust_runtime,robust_max_ate,robust_rank,robust_feasible"
 	if r.Transfer {
 		// Transfer provenance columns appear only in transfer campaigns,
@@ -274,21 +269,18 @@ func WriteCampaignCSV(w io.Writer, r *CampaignReport) error {
 		return err
 	}
 	for _, c := range r.Cells {
-		feas, rfeas, prom, failed := 0, 0, 0, 0
+		feas, rfeas, failed := 0, 0, 0
 		if c.Feasible {
 			feas = 1
 		}
 		if c.RobustFeasible {
 			rfeas = 1
 		}
-		if c.Promoted {
-			prom = 1
-		}
 		if c.Failed {
 			failed = 1
 		}
-		if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d",
-			c.Scenario, c.Device, c.Fidelity, prom, failed, c.Evaluations, c.FullFidelityEvals,
+		if _, err := fmt.Fprintf(w, "%s,%s,%s,0,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d",
+			c.Scenario, c.Device, c.Fidelity, failed, c.Evaluations, c.FullFidelityEvals,
 			c.LowFidelityEvals, c.FrontSize,
 			feas, c.BestRuntime, c.BestMaxATE, c.BestPower,
 			c.RobustRuntime, c.RobustMaxATE, c.RobustRank, rfeas); err != nil {
@@ -315,8 +307,8 @@ func WriteCampaignCSV(w io.Writer, r *CampaignReport) error {
 
 // WriteCampaignProvenance renders the execution-provenance table of a
 // checkpointed campaign: per cell, the fidelity its reported results
-// were explored at, whether the cell-level ladder promoted it, whether
-// it was resumed from a checkpoint rather than explored in this run,
+// were explored at, whether it was resumed from a checkpoint rather
+// than explored in this run,
 // who produced the artifact (a worker id, "local", or "store"), and
 // whether the cell was quarantined. Resumption and ownership depend on
 // how the run was interrupted and which worker won which lease, so
@@ -325,7 +317,7 @@ func WriteCampaignCSV(w io.Writer, r *CampaignReport) error {
 // across fresh, resumed and multi-worker runs).
 func WriteCampaignProvenance(w io.Writer, r *CampaignReport) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scenario\tdevice\tfid\tpromoted\tresumed\towner\tseq\tfailed\tevals\tfull\tlow")
+	fmt.Fprintln(tw, "scenario\tdevice\tfid\tresumed\towner\tseq\tfailed\tevals\tfull\tlow")
 	for _, c := range r.Cells {
 		fid := c.Fidelity
 		if fid == "" {
@@ -339,8 +331,8 @@ func WriteCampaignProvenance(w io.Writer, r *CampaignReport) error {
 		if seq == "" {
 			seq = "-"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%v\t%v\t%s\t%s\t%v\t%d\t%d\t%d\n",
-			c.Scenario, c.Device, fid, c.Promoted, c.Resumed, owner, seq, c.Failed,
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%v\t%s\t%s\t%v\t%d\t%d\t%d\n",
+			c.Scenario, c.Device, fid, c.Resumed, owner, seq, c.Failed,
 			c.Evaluations, c.FullFidelityEvals, c.LowFidelityEvals)
 	}
 	if err := tw.Flush(); err != nil {

@@ -1,8 +1,17 @@
 #!/usr/bin/env bash
 # Benchmark snapshot + regression check, modelled on wand's bench
 # scripts: run the figure/kernel benchmarks into benchmarks/latest.txt,
-# compare against benchmarks/baseline.txt with benchstat when one is
-# installed, and distill the run into BENCH_<index>.json for tooling.
+# compare against a baseline with benchstat when one is installed, and
+# distill the run into BENCH_<index>.json for tooling.
+#
+# The baseline is timed in the same run when BENCH_BASE names a commit
+# in the history (e.g. BENCH_BASE=HEAD, or a PR's base sha): the same
+# benchmark command runs on that commit, checked out detached into a
+# temporary git worktree that is removed afterwards, so the gate
+# compares two builds on one host on one day. When BENCH_BASE is unset
+# or names no commit, the committed benchmarks/baseline.txt stands. The
+# script never rewrites benchmarks/baseline.txt ('make bench-save'
+# does).
 #
 # The output index is the first argument (or $BENCH_INDEX); each PR
 # bumps it so the JSON snapshots form a per-PR series next to the
@@ -10,6 +19,7 @@
 #
 #   ./scripts/bench-compare.sh 2
 #   BENCH_PATTERN=Kernel BENCH_COUNT=10 ./scripts/bench-compare.sh 2
+#   BENCH_BASE=HEAD ./scripts/bench-compare.sh 2
 #
 # The script is also a performance-regression gate over the gated
 # benchmarks (BENCH_GATE_PATTERN, default the Kernel_ microbenchmarks
@@ -37,20 +47,36 @@ OUT_DIR="benchmarks"
 OUT_JSON="BENCH_${BENCH_INDEX}.json"
 mkdir -p "$OUT_DIR"
 
+bench() {
+  go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count "$BENCH_COUNT" .
+}
+
+BASE_FILE="$OUT_DIR/baseline.txt"
+if [ -n "${BENCH_BASE:-}" ] && git cat-file -e "$BENCH_BASE^{commit}" 2>/dev/null; then
+  BASE_TMP=$(mktemp -d)
+  trap 'git worktree remove --force "$BASE_TMP/tree" 2>/dev/null || true; rm -rf "$BASE_TMP"' EXIT
+  git worktree add --quiet --detach "$BASE_TMP/tree" "$BENCH_BASE"
+  BASE_FILE="$BASE_TMP/base.txt"
+  echo "running benchmarks on base $BENCH_BASE (pattern '$BENCH_PATTERN', count $BENCH_COUNT)..."
+  (cd "$BASE_TMP/tree" && bench) > "$BASE_FILE"
+  git worktree remove --force "$BASE_TMP/tree"
+elif [ -n "${BENCH_BASE:-}" ]; then
+  echo "BENCH_BASE '$BENCH_BASE' names no commit; gating against the committed $BASE_FILE"
+fi
+
 echo "running benchmarks (pattern '$BENCH_PATTERN', count $BENCH_COUNT)..."
-go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count "$BENCH_COUNT" . \
-  | tee "$OUT_DIR/latest.txt"
+bench | tee "$OUT_DIR/latest.txt"
 
 HAVE_BENCHSTAT=0
 if command -v benchstat >/dev/null 2>&1; then
   HAVE_BENCHSTAT=1
 fi
 
-if [ -f "$OUT_DIR/baseline.txt" ]; then
+if [ -f "$BASE_FILE" ]; then
   if [ "$HAVE_BENCHSTAT" = 1 ]; then
     echo
     echo "benchstat baseline vs latest:"
-    benchstat "$OUT_DIR/baseline.txt" "$OUT_DIR/latest.txt" | tee "$OUT_DIR/compare.txt"
+    benchstat "$BASE_FILE" "$OUT_DIR/latest.txt" | tee "$OUT_DIR/compare.txt"
   else
     echo "benchstat not installed; skipping statistical compare" >&2
     echo "(go install golang.org/x/perf/cmd/benchstat@latest when networked)" >&2
@@ -92,7 +118,7 @@ gate_zero_alloc() {
       }
       exit failed > 0 ? 1 : 0
     }
-  ' "$OUT_DIR/baseline.txt" "$OUT_DIR/latest.txt"
+  ' "$BASE_FILE" "$OUT_DIR/latest.txt"
 }
 
 # gate_benchstat: parse the benchstat table. Rows live under metric
@@ -172,10 +198,10 @@ gate_thresholds() {
         exit 1
       }
     }
-  ' "$OUT_DIR/baseline.txt" "$OUT_DIR/latest.txt"
+  ' "$BASE_FILE" "$OUT_DIR/latest.txt"
 }
 
-if [ "$BENCH_GATE" != "off" ] && [ -f "$OUT_DIR/baseline.txt" ]; then
+if [ "$BENCH_GATE" != "off" ] && [ -f "$BASE_FILE" ]; then
   echo
   GATE_OK=1
   if [ "$HAVE_BENCHSTAT" = 1 ] && [ "$BENCH_COUNT" -ge 5 ]; then
@@ -185,7 +211,7 @@ if [ "$BENCH_GATE" != "off" ] && [ -f "$OUT_DIR/baseline.txt" ]; then
   else
     [ "$HAVE_BENCHSTAT" = 1 ] && \
       echo "gate: only $BENCH_COUNT sample(s) — too few for a significance test; using mean thresholds (BENCH_COUNT>=5 enables benchstat gating)"
-    echo "gate: '$BENCH_GATE_PATTERN' vs pinned baseline (fail >${BENCH_GATE_PCT}% slower or >${BENCH_GATE_ALLOC_PCT}% more allocs/op)"
+    echo "gate: '$BENCH_GATE_PATTERN' vs $BASE_FILE (fail >${BENCH_GATE_PCT}% slower or >${BENCH_GATE_ALLOC_PCT}% more allocs/op)"
     gate_thresholds || GATE_OK=0
   fi
   gate_zero_alloc || GATE_OK=0

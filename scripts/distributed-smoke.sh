@@ -15,7 +15,7 @@ FLAGS=(-campaign -quick
   -campaign-scenes lr_kt0,of_kt0
   -campaign-devices odroid-xu3,pixel-adreno530
   -random 6 -active 1 -batch 2
-  -campaign-cell-stride 2 -campaign-cell-promote 0.5)
+  -mf-stride 2 -mf-promote 0.5)
 
 rm -rf "$DIR"
 mkdir -p "$DIR"
