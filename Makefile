@@ -3,14 +3,16 @@
 test:
 	go build ./... && go test ./...
 
-# The concurrency substrate, the pipeline free list and front-end memo
-# that a run's simulations share, the parallel DSE engine and the
-# campaign orchestrator must stay clean under the race detector. The
-# campaign package replays whole (small) campaigns many times — determinism
-# across workers plus the checkpoint/resume suite — so it needs more
-# than the default 10-minute package timeout under the race detector.
+# The concurrency substrate, the TSDF volume (Integrate's z-slab
+# workers write one shared free-bit set), the pipeline free list and
+# front-end memo that a run's simulations share, the parallel DSE engine
+# and the campaign orchestrator must stay clean under the race detector.
+# The campaign package replays whole (small) campaigns many times —
+# determinism across workers plus the checkpoint/resume suite — so it
+# needs more than the default 10-minute package timeout under the race
+# detector.
 race:
-	go test -race -timeout 30m ./internal/parallel/... ./internal/kfusion/... ./internal/hypermapper/... ./internal/campaign/... ./internal/seqcache/... ./internal/sharedfs/... ./internal/evalstore/... ./internal/serve/...
+	go test -race -timeout 30m ./internal/parallel/... ./internal/tsdf/... ./internal/kfusion/... ./internal/hypermapper/... ./internal/campaign/... ./internal/seqcache/... ./internal/sharedfs/... ./internal/evalstore/... ./internal/serve/...
 
 bench:
 	go test -run '^$$' -bench . -benchmem .
@@ -19,7 +21,7 @@ bench:
 # on the last commit (HEAD) in the same run, with benchstat when
 # available, and distill the run into BENCH_$(BENCH_INDEX).json (the
 # per-PR snapshot series).
-BENCH_INDEX ?= 11
+BENCH_INDEX ?= 12
 bench-compare:
 	BENCH_BASE=HEAD ./scripts/bench-compare.sh $(BENCH_INDEX)
 

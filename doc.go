@@ -97,7 +97,7 @@
 // odometry run beside E1's KinectFusion run).
 //
 // One simulation (a configuration run over a sequence, core.Evaluate) is
-// the unit every exploration pays for, and four mechanisms keep it
+// the unit every exploration pays for, and five mechanisms keep it
 // cheap without changing a bit of its result. TSDF integration
 // (tsdf.Volume.Integrate) clips each x-row of voxels to the span that
 // can project into the image: the near plane and the four image edges,
@@ -143,6 +143,24 @@
 // quick-scale scene, 34 MB per default-scale one), after which frames
 // are preprocessed per simulation. kfusion.New, a nil list and so
 // core.Evaluate preprocess every frame themselves.
+//
+// Last, the ray-caster answers observed free space without
+// interpolating. A tsdf.Volume keeps one free bit per voxel, set exactly
+// when the voxel's weight is positive and its TSDF value is exactly 1
+// (observed, truncated free space); Integrate recomputes the bit of
+// every voxel it writes, and Reset and Resize clear them all. The
+// trilinear sampler behind RaycastInto, its normals, SampleRelaxed and
+// Gradient returns 1 for a cell whose eight bits are set before it reads
+// any voxel. That is bit for bit the interpolation's own result: each
+// corner adds the same weight product w to the value sum (as 1.0·w,
+// exact) and to the weight sum, in the same order, so the two sums are
+// equal, the weight sum is about 1 and their quotient is exactly 1. The
+// march, its step count and so the raycast Cost are unchanged. In
+// campaignbench's served-campaign spec close to 60% of the ray-caster's
+// samples take this path.
+// The bits cost one uint64 word per 64 voxels, each z-plane padded to a
+// whole word so Integrate's parallel z-slabs never share one: 2 MiB at
+// 256³, beside the 134 MB of TSDF values and weights.
 //
 // # Campaign engine: staged and resumable
 //

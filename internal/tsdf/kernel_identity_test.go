@@ -20,6 +20,18 @@ type kernelFixture struct {
 	gt     []math3.SE3
 }
 
+// fixtureSequence is the lr_kt0 sequence the kernel tests run on.
+func fixtureSequence(t *testing.T) *dataset.MemorySequence {
+	t.Helper()
+	seq, err := dataset.LivingRoomKT(0, dataset.PresetOptions{
+		Width: 160, Height: 120, Frames: 16, FPS: 30, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
 func newKernelFixture(t *testing.T, seq *dataset.MemorySequence, ratio int) kernelFixture {
 	t.Helper()
 	sensor := seq.Intrinsics()
@@ -115,12 +127,7 @@ func sameMap(t *testing.T, where string, a, b *imgproc.VertexMap) {
 // costs must agree, across the DSE's volume resolutions, compute size
 // ratios and truncation bands.
 func TestKernelsMatchReference(t *testing.T) {
-	seq, err := dataset.LivingRoomKT(0, dataset.PresetOptions{
-		Width: 160, Height: 120, Frames: 16, FPS: 30, Seed: 42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := fixtureSequence(t)
 	cases := []struct {
 		res, ratio int
 		mu         float64

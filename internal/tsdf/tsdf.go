@@ -5,7 +5,8 @@
 // The volume is a cube of Res³ voxels spanning Size metres, positioned by
 // Origin (the world coordinate of the corner of voxel (0,0,0)). Each voxel
 // stores a TSDF value normalised to [-1, 1] (distance divided by the
-// truncation band mu) and an integration weight.
+// truncation band mu), an integration weight and a free bit that lets
+// the sampler skip observed free space.
 package tsdf
 
 import (
@@ -18,16 +19,27 @@ import (
 	"slamgo/internal/parallel"
 )
 
-// Volume is the dense TSDF grid.
+// Volume is the dense TSDF grid. Beside each voxel's TSDF value and
+// weight it keeps one free bit, set exactly when the voxel is observed
+// free space (W > 0 and D == 1), so the sampler can answer a cell of
+// eight free voxels without reading them (see sample).
 type Volume struct {
 	Res    int        // voxels per side
 	Size   float64    // metres per side
 	Origin math3.Vec3 // world position of the min corner
 
 	// D holds normalised TSDF values in [-1,1]; W holds weights. Both are
-	// indexed [z*Res*Res + y*Res + x].
+	// indexed [z*Res*Res + y*Res + x]. A set free bit implies W > 0 and
+	// D == 1 at its voxel, so write them only through Integrate, Reset
+	// and Resize, which keep the bits.
 	D []float32
 	W []float32
+
+	// free holds the free bits, voxel (x,y,z) at bit z*plane + y*Res + x.
+	// plane is Res² rounded up to a multiple of 64, so every z-plane
+	// starts on a word and Integrate's z-slabs never share a word.
+	free  []uint64
+	plane int
 }
 
 // New allocates a volume of res³ voxels spanning size metres with its min
@@ -43,42 +55,49 @@ func New(res int, size float64, origin math3.Vec3) *Volume {
 func (v *Volume) VoxelSize() float64 { return v.Size / float64(v.Res) }
 
 // Resize turns v into a volume of res³ voxels spanning size metres with
-// its min corner at origin, every voxel unobserved. It keeps the D and W
-// storage when its capacity holds res³ voxels and allocates otherwise,
-// so a volume reused for a smaller grid costs a reset, not an
-// allocation.
+// its min corner at origin, every voxel unobserved. It keeps the D, W
+// and free-bit storage when its capacity holds res³ voxels and
+// allocates otherwise, so a volume reused for a smaller grid costs a
+// reset, not an allocation.
 func (v *Volume) Resize(res int, size float64, origin math3.Vec3) {
 	if res < 2 {
 		panic(fmt.Sprintf("tsdf: resolution %d too small", res))
 	}
 	n := res * res * res
 	v.Res, v.Size, v.Origin = res, size, origin
-	if cap(v.D) >= n {
-		v.D, v.W = v.D[:n], v.W[:n]
+	v.plane = (res*res + 63) &^ 63
+	words := res * v.plane / 64
+	if cap(v.D) >= n && cap(v.free) >= words {
+		v.D, v.W, v.free = v.D[:n], v.W[:n], v.free[:words]
 		v.reset(true)
 		return
 	}
-	v.D, v.W = nil, nil // let the old grid go before allocating
+	v.D, v.W, v.free = nil, nil, nil // let the old grid go before allocating
 	v.D = make([]float32, n)
 	v.W = make([]float32, n)
-	v.reset(false) // fresh weights are already zero
+	v.free = make([]uint64, words)
+	v.reset(false) // fresh weights and bits are already zero
 }
 
-// Reset returns every voxel to the unobserved state (TSDF=1, weight 0).
+// Reset returns every voxel to the unobserved state (TSDF=1, weight 0,
+// free bit clear).
 func (v *Volume) Reset() { v.reset(true) }
 
-// reset sets every TSDF value to 1, and every weight to 0 when clearW is
-// set, in parallel slabs.
-func (v *Volume) reset(clearW bool) {
+// reset sets every TSDF value to 1 in parallel slabs and, when dirty is
+// set, clears every weight and every free bit.
+func (v *Volume) reset(dirty bool) {
 	parallel.For(len(v.D), 0, func(lo, hi int) {
 		d := v.D[lo:hi]
 		for i := range d {
 			d[i] = 1
 		}
-		if clearW {
+		if dirty {
 			clear(v.W[lo:hi])
 		}
 	})
+	if dirty {
+		clear(v.free)
+	}
 }
 
 // index returns the linear index for voxel (x,y,z); callers guarantee
@@ -89,14 +108,6 @@ func (v *Volume) index(x, y, z int) int { return (z*v.Res+y)*v.Res + x }
 func (v *Volume) At(x, y, z int) (d, w float32) {
 	i := v.index(x, y, z)
 	return v.D[i], v.W[i]
-}
-
-// setAt stores a TSDF/weight pair (test helper and integration inner
-// loop).
-func (v *Volume) setAt(x, y, z int, d, w float32) {
-	i := v.index(x, y, z)
-	v.D[i] = d
-	v.W[i] = w
 }
 
 // VoxelCenter returns the world coordinate of the centre of voxel (x,y,z).
@@ -189,6 +200,11 @@ const (
 // unrolled in the order of the z, y, x loop nest, with the same weight
 // products and the same accumulation order, so the result is bit for
 // bit the looped sampler's.
+//
+// A cell whose eight free bits are all set returns 1 before any D or W
+// is read. That is the interpolation's own result: each corner adds the
+// same product w to acc (as 1.0·w, exact) and to wsum, in the same
+// order, so acc == wsum, wsum ≈ 1 ≥ 0.25 and acc/wsum == 1.
 func (v *Volume) sample(p math3.Vec3, inv float64) (val float64, ok bool, out uint8) {
 	gx := (p.X-v.Origin.X)*inv - 0.5
 	gy := (p.Y-v.Origin.Y)*inv - 0.5
@@ -201,6 +217,11 @@ func (v *Volume) sample(p math3.Vec3, inv float64) (val float64, ok bool, out ui
 		return 0, false, outside(x0, r, outXLow, outXHigh) |
 			outside(y0, r, outYLow, outYHigh) |
 			outside(z0, r, outZLow, outZHigh)
+	}
+	k, q := z0*v.plane+y0*r+x0, v.plane
+	if v.isFree(k) && v.isFree(k+1) && v.isFree(k+r) && v.isFree(k+r+1) &&
+		v.isFree(k+q) && v.isFree(k+q+1) && v.isFree(k+q+r) && v.isFree(k+q+r+1) {
+		return 1, true, 0
 	}
 	fx := gx - float64(x0)
 	fy := gy - float64(y0)
@@ -258,6 +279,9 @@ func (v *Volume) sample(p math3.Vec3, inv float64) (val float64, ok bool, out ui
 	return acc / wsum, true, 0
 }
 
+// isFree reports whether free bit k is set.
+func (v *Volume) isFree(k int) bool { return v.free[k>>6]>>(k&63)&1 != 0 }
+
 // outside returns low when the cell index c0 starts below the box,
 // high when its far corner c0+1 lies past the last voxel, and 0 when the
 // cell fits on this axis.
@@ -311,6 +335,11 @@ func (v *Volume) gradient(p math3.Vec3, h, inv float64) (math3.Vec3, bool) {
 // work KinectFusion does on the device, not the work this process
 // skipped, and it is what makes volume resolution the paper's dominant
 // performance parameter.
+//
+// Each written voxel's free bit is recomputed from its stored D and W,
+// after the weight cap. A row's bits are gathered per word and each
+// word is stored once; a z-slab owns whole words (see Volume.plane), so
+// the parallel slabs never write the same word.
 func (v *Volume) Integrate(depth *imgproc.DepthMap, pose math3.SE3, in camera.Intrinsics, mu float64, maxWeight float32) imgproc.Cost {
 	if mu <= 0 {
 		mu = v.VoxelSize() * 4
@@ -332,6 +361,8 @@ func (v *Volume) Integrate(depth *imgproc.DepthMap, pose math3.SE3, in camera.In
 				for x := 0; x < xlo; x++ {
 					pc = pc.Add(dx)
 				}
+				row := z*v.plane + y*v.Res
+				wi, word := -1, uint64(0) // the free-bit word being gathered
 				for x := xlo; x <= xhi; x++ {
 					if x > xlo {
 						pc = pc.Add(dx)
@@ -359,11 +390,29 @@ func (v *Volume) Integrate(depth *imgproc.DepthMap, pose math3.SE3, in camera.In
 					i := (z*v.Res+y)*v.Res + x
 					wOld := v.W[i]
 					wNew := wOld + 1
-					v.D[i] = float32((float64(v.D[i])*float64(wOld) + t) / float64(wNew))
+					d := float32((float64(v.D[i])*float64(wOld) + t) / float64(wNew))
 					if wNew > maxWeight {
 						wNew = maxWeight
 					}
-					v.W[i] = wNew
+					v.D[i], v.W[i] = d, wNew
+
+					k := row + x
+					if k>>6 != wi {
+						if wi >= 0 {
+							v.free[wi] = word
+						}
+						wi = k >> 6
+						word = v.free[wi]
+					}
+					m := uint64(1) << (k & 63)
+					if wNew > 0 && d == 1 {
+						word |= m
+					} else {
+						word &^= m
+					}
+				}
+				if wi >= 0 {
+					v.free[wi] = word
 				}
 			}
 		}
